@@ -226,7 +226,6 @@ def main(argv=None) -> int:
     try:
         settings = resolve_settings(args)
         _validate_settings(settings)
-        _prepare_out_dir(settings["out"])
         config = ExperimentConfig(
             dims=settings["dims"],
             num_pairs=settings["pairs"],
@@ -235,6 +234,7 @@ def main(argv=None) -> int:
             emit_histograms=settings["histograms"],
             emit_gof=settings["gof"],
         )
+        _prepare_out_dir(settings["out"])
     except (ValueError, OSError) as exc:
         # Bad flags, bad config-file entries, and unusable output directories
         # are all usage errors.

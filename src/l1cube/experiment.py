@@ -47,6 +47,9 @@ class ExperimentConfig:
         bad = [d for d in dims if d < 1]
         if bad:
             raise ValueError(f"dims must be positive, got {bad[0]}")
+        repeated = [d for i, d in enumerate(dims) if d in dims[:i]]
+        if repeated:
+            raise ValueError(f"dims must be distinct, got {repeated[0]} more than once")
         if self.num_pairs < 2:
             raise ValueError(f"num_pairs must be >= 2, got {self.num_pairs}")
         if self.bins < 1:

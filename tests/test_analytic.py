@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from convolution_reference import convolution_chain, float_projection
 from scipy.integrate import quad
 
 from l1cube import (
@@ -23,6 +24,7 @@ from l1cube import (
     theoretical_skewness,
     theoretical_variance,
 )
+from l1cube.analytic import _closed_form_density
 
 MOMENT_DIMS = (1, 2, 3, 5, 10, 20, 30)
 
@@ -213,6 +215,58 @@ class TestExactDensity:
         for t in threads:
             t.join()
         assert all(r is results[0] for r in results)
+
+
+@pytest.fixture(scope="module")
+def convolution_oracle():
+    return convolution_chain(EXACT_DENSITY_MAX_DIM)
+
+
+class TestAgainstConvolutionOracle:
+    """The closed form against iterated rational convolution, dim by dim.
+
+    Equal float matrices pin every pdf and cdf value the CLI reports (the
+    ks_exact column and the overlay files) to the convolution engine's.
+    """
+
+    @pytest.mark.parametrize("dim", range(1, EXACT_DENSITY_MAX_DIM + 1))
+    def test_segments_and_float_coefficients(self, convolution_oracle, dim):
+        d = exact_density(dim)
+        assert d.segments == convolution_oracle[dim]
+        pdf, cdf = float_projection(convolution_oracle[dim])
+        assert np.array_equal(d._pdf_coeffs, pdf)
+        assert np.array_equal(d._cdf_coeffs, cdf)
+
+
+class TestClosedFormBeyondCeiling:
+    """The closed-form builder at dim 100, past the public ceiling."""
+
+    DIM = 100
+
+    @pytest.fixture(scope="class")
+    def density(self):
+        return _closed_form_density(self.DIM)
+
+    def test_unit_mass_exactly(self, density):
+        assert density.dim == self.DIM
+        assert density.integral() == 1
+
+    def test_continuous_at_breakpoints(self, density):
+        segs = density.segments
+        for left, right in zip(segs, segs[1:]):
+            assert sum(left, Fraction(0)) == right[0]
+
+    def test_exact_mean_and_variance(self, density):
+        mean = density.moment(1)
+        assert mean == Fraction(self.DIM, 3)
+        assert density.moment(2, center=mean) == Fraction(self.DIM, 18)
+
+    def test_float_projection_conditioning(self, density):
+        for x in (20.5, 30.25, 33.3, 40.75, 60.5):
+            seg = int(x)
+            t = Fraction(x) - seg
+            exact = sum(c * t**i for i, c in enumerate(density.segments[seg]))
+            assert density.pdf(x) == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestExactCdf:

@@ -71,6 +71,17 @@ class TestUsageErrorExitCodes:
         assert code == 2
         assert "-5" in err
 
+    def test_duplicate_dims_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code, outs, err = run_cli(
+            ["--dims", "5,5", "--pairs", "10", "--histograms", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert err.startswith("l1cube: error:")
+        assert "5 more than once" in err
+        assert outs == ""
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["--config", str(tmp_path / "absent.conf"), "--out", str(tmp_path)], capsys

@@ -51,6 +51,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    def test_duplicate_dims_rejected(self):
+        # Repeated dims would repeat a row and overwrite its figure files.
+        with pytest.raises(ValueError, match="5 more than once"):
+            ExperimentConfig(dims=(2, 5, 3, 5))
+
 
 class TestCompareToTheory:
     def test_reference_ten_dim_row(self):
