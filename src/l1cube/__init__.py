@@ -13,7 +13,6 @@ from .analytic import (
     PiecewisePolynomial,
     TheoreticalMoments,
     UnsupportedDimensionError,
-    exact_cdf,
     exact_density,
     moments_of,
     normal_cdf,
@@ -45,7 +44,7 @@ from .experiment import (
     compare_to_theory,
     run_experiment,
 )
-from .metric import Distance, Point, batch_distances, manhattan_distance
+from .metric import Point, batch_distances, manhattan_distance
 from .output import (
     OutputBundle,
     dump_report_json,
@@ -59,7 +58,6 @@ from .output import (
 )
 from .sampling import (
     CHUNK_PAIRS,
-    RandomStream,
     SampleSpec,
     derive_seed,
     derive_stream,
@@ -70,14 +68,12 @@ from .sampling import (
 __all__ = [
     "__version__",
     # metric
-    "Distance",
     "Point",
     "manhattan_distance",
     "batch_distances",
     # sampling
     "CHUNK_PAIRS",
     "SampleSpec",
-    "RandomStream",
     "derive_seed",
     "derive_stream",
     "generate_point",
@@ -93,7 +89,6 @@ __all__ = [
     "single_dim_density",
     "PiecewisePolynomial",
     "exact_density",
-    "exact_cdf",
     "moments_of",
     "NormalApprox",
     "normal_pdf",

@@ -202,19 +202,26 @@ class PiecewisePolynomial:
         return self.moment(0)
 
     def moment(self, order: int, center: Fraction = Fraction(0)) -> Fraction:
-        """Exact integral of (x - center)^order against the density."""
-        total = Fraction(0)
-        for k, p in enumerate(self.segments):
-            a = Fraction(k) - center
-            # (a + t)^order expanded binomially, multiplied into p, integrated.
-            binom = [math.comb(order, i) * a ** (order - i) for i in range(order + 1)]
-            prod = [Fraction(0)] * (len(p) + order)
-            for i, bi in enumerate(binom):
-                if bi:
-                    for j, cj in enumerate(p):
-                        prod[i + j] += bi * cj
-            total += sum(c / (i + 1) for i, c in enumerate(prod))
-        return total
+        """Exact integral of (x - center)^order against the density.
+
+        With center = p/q, on segment k the factor is (kq - p + qt)^order
+        / q^order. Expanded binomially, multiplied into the integer row and
+        integrated over t in [0, 1], every term is an integer over
+        denominator * lcm(1..width + order) * q^order.
+        """
+        center = Fraction(center)
+        p, q = center.numerator, center.denominator
+        width = len(self.numerators[0]) + order
+        lcm = math.lcm(*range(1, width + 1))
+        weights = [lcm // (j + 1) for j in range(width)]
+        total = 0
+        for k, row in enumerate(self.numerators):
+            a = k * q - p
+            for m in range(order + 1):
+                b = math.comb(order, m) * a ** (order - m) * q**m
+                if b:
+                    total += b * sum(c * w for c, w in zip(row, weights[m:]))
+        return Fraction(total, self.denominator * lcm * q**order)
 
 
 def _closed_form_density(n: int) -> PiecewisePolynomial:
@@ -264,11 +271,6 @@ def exact_density(dim: int) -> PiecewisePolynomial:
         # Threads racing here may each build, but setdefault keeps the first.
         _density_cache.setdefault(dim, _closed_form_density(dim))
     return _density_cache[dim]
-
-
-def exact_cdf(density: PiecewisePolynomial, x):
-    """Cumulative distribution of `density` at x (scalar or array)."""
-    return density.cdf(x)
 
 
 def moments_of(density: PiecewisePolynomial) -> TheoreticalMoments:

@@ -16,18 +16,16 @@ from pathlib import Path
 
 from ._version import __version__
 from .experiment import (
+    DEFAULT_BINS,
     DEFAULT_DIMS,
     DEFAULT_NUM_PAIRS,
+    DEFAULT_SEED,
     ExperimentConfig,
     ExperimentReport,
     run_experiment,
 )
-from .output import write_bundle
+from .output import FORMATS, TABLE_COLUMNS, write_bundle
 
-DEFAULT_BINS = 30
-DEFAULT_SEED = 0
-
-_CONFIG_KEYS = ("dims", "pairs", "seed", "bins", "out", "format", "gof", "histograms")
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -42,17 +40,40 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _parse_bool(key: str, text: str) -> bool:
+def _parse_bool(text: str) -> bool:
     word = text.strip().lower()
     if word in _TRUE_WORDS:
         return True
     if word in _FALSE_WORDS:
         return False
-    raise ValueError(f"invalid boolean for {key!r}: {text!r}")
+    raise ValueError(f"invalid boolean {text!r}")
+
+
+def _parse_format(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"invalid choice {text!r} (choose from {', '.join(FORMATS)})")
+    return text
+
+
+# Config-file keys and their value parsers; range checks are left to
+# ExperimentConfig, as for command-line values.
+_CONFIG_PARSERS = {
+    "dims": _parse_dims,
+    "pairs": int,
+    "seed": int,
+    "bins": int,
+    "out": str,
+    "format": _parse_format,
+    "gof": _parse_bool,
+    "histograms": _parse_bool,
+}
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat `key = value` file; `#` starts a comment, blanks ignored."""
+    """Parse a flat `key = value` file; `#` starts a comment, blanks ignored.
+
+    Every malformed line raises ValueError prefixed with `path:lineno`.
+    """
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -62,16 +83,12 @@ def load_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "dims":
-            values[key] = _parse_dims(value)
-        elif key in ("pairs", "seed", "bins"):
-            values[key] = int(value)
-        elif key in ("gof", "histograms"):
-            values[key] = _parse_bool(key, value)
-        else:
-            values[key] = value
+        try:
+            values[key] = _CONFIG_PARSERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -111,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("csv", "json", "both"),
+        choices=FORMATS,
         default=None,
         help="report formats to write (default both)",
     )
@@ -148,30 +165,11 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     }
     if args.config is not None:
         settings.update(load_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_PARSERS:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
     return settings
-
-
-def _validate_settings(settings: dict) -> None:
-    """Reject bad inputs up front so they surface as usage errors, not crashes."""
-    for dim in settings["dims"]:
-        if dim < 1:
-            raise ValueError(f"invalid dimension {dim}: dimensions must be >= 1")
-    if settings["pairs"] < 2:
-        raise ValueError(f"invalid pairs {settings['pairs']}: need at least 2 pairs")
-    if not 0 <= settings["seed"] < 2**64:
-        raise ValueError(
-            f"invalid seed {settings['seed']}: must fit in an unsigned 64-bit integer"
-        )
-    if settings["bins"] < 1:
-        raise ValueError(f"invalid bins {settings['bins']}: need at least one bin")
-    if settings["format"] not in ("csv", "json", "both"):
-        raise ValueError(
-            f"invalid format {settings['format']!r}: choose csv, json, or both"
-        )
 
 
 def _prepare_out_dir(out) -> Path:
@@ -193,18 +191,14 @@ def _format_cell(value, width: int) -> str:
     return f"{value:.4f}".rjust(width)
 
 
+# Widths of the stdout table's columns, in TABLE_COLUMNS order; the last
+# three are the GOF columns, shown only when GOF ran.
+_PRINT_WIDTHS = (4, 14, 16, 18, 20, 11, 11, 9, 9, 11)
+
+
 def print_table(report: ExperimentReport, stream) -> None:
-    columns = [
-        ("dim", 4),
-        ("empirical_mean", 14),
-        ("theoretical_mean", 16),
-        ("empirical_variance", 18),
-        ("theoretical_variance", 20),
-        ("mean_dev_se", 11),
-        ("var_dev_rel", 11),
-    ]
-    if report.config.emit_gof:
-        columns += [("ks_exact", 9), ("ks_normal", 9), ("ks_crit_005", 11)]
+    widths = _PRINT_WIDTHS if report.config.emit_gof else _PRINT_WIDTHS[:-3]
+    columns = list(zip(TABLE_COLUMNS, widths))
     print("  ".join(name.rjust(width) for name, width in columns), file=stream)
     for row in report.rows:
         print(
@@ -225,7 +219,6 @@ def main(argv=None) -> int:
 
     try:
         settings = resolve_settings(args)
-        _validate_settings(settings)
         config = ExperimentConfig(
             dims=settings["dims"],
             num_pairs=settings["pairs"],

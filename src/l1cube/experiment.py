@@ -27,6 +27,8 @@ from .sampling import SampleSpec, derive_seed, sample_distances
 
 DEFAULT_DIMS = (1, 2, 3, 5, 10, 20, 50, 100)
 DEFAULT_NUM_PAIRS = 10000
+DEFAULT_SEED = 0
+DEFAULT_BINS = 30
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,8 @@ class ExperimentConfig:
 
     dims: tuple[int, ...] = DEFAULT_DIMS
     num_pairs: int = DEFAULT_NUM_PAIRS
-    seed: int = 0
-    bins: int = 30
+    seed: int = DEFAULT_SEED
+    bins: int = DEFAULT_BINS
     emit_histograms: bool = False
     emit_gof: bool = False
 
@@ -55,7 +57,7 @@ class ExperimentConfig:
         if self.bins < 1:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         object.__setattr__(self, "dims", dims)
 
 

@@ -7,10 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-# A distance is a plain nonnegative float; dimension checks live at the
-# operation boundaries, not on the value.
-Distance = float
-
 # numpy adds a contiguous float64 run as a pairwise tree (8 lanes,
 # 128-element leaves). Before numpy 2.3 its iterator cut every reduction into
 # buffer-sized runs of 8192 and added their sums left to right; since 2.3 one
@@ -66,7 +62,7 @@ class Point:
         return np.array_equal(self.coords, other.coords)
 
 
-def manhattan_distance(p: Point, q: Point) -> Distance:
+def manhattan_distance(p: Point, q: Point) -> float:
     """Sum of absolute coordinate differences between two points.
 
     Symmetric in its arguments; for points in [0, 1]^n the result lies in

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,20 +32,10 @@ from .experiment import DimensionReport, ExperimentConfig, ExperimentReport
 
 OVERLAY_GRID_POINTS = 512
 
-TABLE_COLUMNS = (
-    "dim",
-    "empirical_mean",
-    "theoretical_mean",
-    "empirical_variance",
-    "theoretical_variance",
-    "mean_dev_se",
-    "var_dev_rel",
-    "ks_exact",
-    "ks_normal",
-    "ks_crit_005",
-    "ks_crit_001",
-    "gof_backend",
-)
+# One row schema: the CSV and stdout columns are DimensionReport's fields in
+# declaration order, less the histogram, which only the JSON report carries.
+TABLE_COLUMNS = tuple(f.name for f in fields(DimensionReport) if f.name != "histogram")
+FORMATS = ("csv", "json", "both")
 
 
 def format_float(x: float) -> str:
@@ -69,91 +59,35 @@ def _cell(value) -> str:
 # JSON report
 # ---------------------------------------------------------------------------
 
+def _plain(value):
+    """Dataclasses, arrays and tuples as JSON-ready dicts and lists, in field order."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
-    cfg = report.config
-    rows = []
-    for row in report.rows:
-        hist = None
-        if row.histogram is not None:
-            hist = {
-                "bin_edges": [float(e) for e in row.histogram.bin_edges],
-                "counts": [int(c) for c in row.histogram.counts],
-                "density_mode": row.histogram.density_mode,
-            }
-        rows.append(
-            {
-                "dim": row.dim,
-                "empirical_mean": row.empirical_mean,
-                "theoretical_mean": row.theoretical_mean,
-                "empirical_variance": row.empirical_variance,
-                "theoretical_variance": row.theoretical_variance,
-                "mean_dev_se": row.mean_dev_se,
-                "var_dev_rel": row.var_dev_rel,
-                "ks_exact": row.ks_exact,
-                "ks_normal": row.ks_normal,
-                "ks_crit_005": row.ks_crit_005,
-                "ks_crit_001": row.ks_crit_001,
-                "gof_backend": row.gof_backend,
-                "histogram": hist,
-            }
-        )
     return {
         "version": report.version,
         "variance_convention": report.variance_convention,
-        "config": {
-            "dims": list(cfg.dims),
-            "num_pairs": cfg.num_pairs,
-            "seed": cfg.seed,
-            "bins": cfg.bins,
-            "emit_histograms": cfg.emit_histograms,
-            "emit_gof": cfg.emit_gof,
-        },
-        "rows": rows,
+        "config": _plain(report.config),
+        "rows": _plain(report.rows),
     }
 
 
 def report_from_dict(data: dict) -> ExperimentReport:
-    cfg = data["config"]
-    config = ExperimentConfig(
-        dims=tuple(cfg["dims"]),
-        num_pairs=cfg["num_pairs"],
-        seed=cfg["seed"],
-        bins=cfg["bins"],
-        emit_histograms=cfg["emit_histograms"],
-        emit_gof=cfg["emit_gof"],
-    )
     rows = []
     for r in data["rows"]:
-        hist = None
-        if r.get("histogram") is not None:
-            h = r["histogram"]
-            hist = Histogram(
-                np.asarray(h["bin_edges"], dtype=np.float64),
-                np.asarray(h["counts"], dtype=np.int64),
-                h["density_mode"],
-            )
+        hist = r.get("histogram")
         rows.append(
-            DimensionReport(
-                dim=r["dim"],
-                empirical_mean=r["empirical_mean"],
-                theoretical_mean=r["theoretical_mean"],
-                empirical_variance=r["empirical_variance"],
-                theoretical_variance=r["theoretical_variance"],
-                mean_dev_se=r["mean_dev_se"],
-                var_dev_rel=r["var_dev_rel"],
-                ks_exact=r["ks_exact"],
-                ks_normal=r["ks_normal"],
-                ks_crit_005=r["ks_crit_005"],
-                ks_crit_001=r["ks_crit_001"],
-                gof_backend=r["gof_backend"],
-                histogram=hist,
-            )
+            DimensionReport(**{**r, "histogram": None if hist is None else Histogram(**hist)})
         )
     return ExperimentReport(
-        config=config,
-        rows=tuple(rows),
-        version=data["version"],
-        variance_convention=data["variance_convention"],
+        **{**data, "config": ExperimentConfig(**data["config"]), "rows": tuple(rows)}
     )
 
 
@@ -290,7 +224,7 @@ def write_bundle(
     figures: bool = False,
 ) -> OutputBundle:
     """Write the report files selected by `fmt` (csv, json or both)."""
-    if fmt not in ("csv", "json", "both"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; use csv, json or both")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -59,42 +59,31 @@ class SampleSpec:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-@dataclass
-class RandomStream:
-    """Single-owner handle on one (seed, stream_id) substream.
-
-    The generator state is mutable and must not be shared between
-    concurrent callers; derive one stream per worker instead.
-    """
-
-    generator: np.random.Generator
-    stream_id: int
-
-
-def derive_stream(seed: int, stream_id: int) -> RandomStream:
+def derive_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Open the Philox substream for (seed, stream_id).
 
     The 128-bit Philox key is (stream_id << 64) | seed: distinct stream ids
     give statistically independent, non-overlapping sequences, and the same
-    pair reproduces the same sequence on every platform.
+    pair reproduces the same sequence on every platform. The generator's
+    state is mutable; give each concurrent caller its own stream.
     """
     if stream_id < 0:
         raise ValueError(f"stream_id must be >= 0, got {stream_id}")
     key = (seed & _MASK64) | ((stream_id & _MASK64) << 64)
-    return RandomStream(np.random.Generator(np.random.Philox(key=key)), stream_id)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def generate_point(stream: RandomStream, dim: int) -> Point:
+def generate_point(stream: np.random.Generator, dim: int) -> Point:
     """Draw one uniform point on [0, 1)^dim, advancing the stream by exactly dim draws."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return Point(stream.generator.random(dim))
+    return Point(stream.random(dim))
 
 
 def _chunk_distances(spec: SampleSpec, chunk: int) -> np.ndarray:
     start = chunk * CHUNK_PAIRS
     m = min(CHUNK_PAIRS, spec.num_pairs - start)
-    gen = derive_stream(spec.seed, chunk).generator
+    gen = derive_stream(spec.seed, chunk)
     # C-order fill: pair j consumes P's coordinates, then Q's, exactly as
     # sequential generate_point calls would.
     u = gen.random((m, 2, spec.dim))

@@ -8,8 +8,12 @@ coefficients in the local variable t = x - k. `float_projection` rounds the
 segments to the float64 pdf and cdf coefficient matrices the way the
 package's evaluation expects them, one `float(Fraction)` per coefficient,
 so the program's matrices can be compared to it with `np.array_equal`.
+`fraction_moment` integrates moments of exact segments the same slow way,
+one `Fraction` product per coefficient, as the oracle for the program's
+integer `PiecewisePolynomial.moment`.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -116,3 +120,19 @@ def float_projection(segments) -> tuple[np.ndarray, np.ndarray]:
         cdf[k, 1 : len(anti)] = [float(c) for c in anti[1:]]
         cum += sum(anti)
     return pdf, cdf
+
+
+def fraction_moment(segments, order: int, center=Fraction(0)) -> Fraction:
+    """Exact integral of (x - center)^order against unit-segment densities."""
+    total = Fraction(0)
+    for k, p in enumerate(segments):
+        a = Fraction(k) - center
+        # (a + t)^order expanded binomially, multiplied into p, integrated.
+        binom = [math.comb(order, i) * a ** (order - i) for i in range(order + 1)]
+        prod = [Fraction(0)] * (len(p) + order)
+        for i, bi in enumerate(binom):
+            if bi:
+                for j, cj in enumerate(p):
+                    prod[i + j] += bi * cj
+        total += sum(c / (i + 1) for i, c in enumerate(prod))
+    return total

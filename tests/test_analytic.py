@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from convolution_reference import convolution_chain, float_projection
+from convolution_reference import convolution_chain, float_projection, fraction_moment
 from scipy.integrate import quad
 
 from l1cube import (
@@ -12,7 +12,6 @@ from l1cube import (
     NormalApprox,
     TheoreticalMoments,
     UnsupportedDimensionError,
-    exact_cdf,
     exact_density,
     moments_of,
     normal_cdf,
@@ -238,6 +237,27 @@ class TestAgainstConvolutionOracle:
         assert np.array_equal(d._cdf_coeffs, cdf)
 
 
+def assert_moments_match_oracle(density):
+    # Orders 0-2 about zero, then 2-4 about the exact mean: the integer
+    # moment must equal the Fraction oracle exactly.
+    for order in (0, 1, 2):
+        assert density.moment(order) == fraction_moment(density.segments, order)
+    mean = density.moment(1)
+    for order in (2, 3, 4):
+        assert density.moment(order, center=mean) == fraction_moment(
+            density.segments, order, mean
+        )
+
+
+class TestMomentAgainstFractionOracle:
+    @pytest.mark.parametrize("dim", range(1, EXACT_DENSITY_MAX_DIM + 1))
+    def test_equals_fraction_integration(self, dim):
+        assert_moments_match_oracle(exact_density(dim))
+
+    def test_equals_fraction_integration_at_dim_100(self):
+        assert_moments_match_oracle(_closed_form_density(100))
+
+
 class TestClosedFormBeyondCeiling:
     """The closed-form builder at dim 100, past the public ceiling."""
 
@@ -272,26 +292,26 @@ class TestClosedFormBeyondCeiling:
 class TestExactCdf:
     def test_dim_one_closed_form(self):
         d = exact_density(1)
-        assert exact_cdf(d, 0.5) == pytest.approx(0.75, abs=1e-12)
-        assert exact_cdf(d, 0.0) == 0.0
-        assert exact_cdf(d, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert d.cdf(0.5) == pytest.approx(0.75, abs=1e-12)
+        assert d.cdf(0.0) == 0.0
+        assert d.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_dim_two_spot_values(self):
         # Quadrature oracle over the convolved density.
         d = exact_density(2)
-        assert exact_cdf(d, 0.5) == pytest.approx(0.34375, abs=1e-12)
-        assert exact_cdf(d, 1.0) == pytest.approx(0.8333333333333334, abs=1e-12)
-        assert exact_cdf(d, 1.5) == pytest.approx(0.9895833333333334, abs=1e-12)
+        assert d.cdf(0.5) == pytest.approx(0.34375, abs=1e-12)
+        assert d.cdf(1.0) == pytest.approx(0.8333333333333334, abs=1e-12)
+        assert d.cdf(1.5) == pytest.approx(0.9895833333333334, abs=1e-12)
 
     def test_saturates_outside_support(self):
         d = exact_density(3)
-        assert exact_cdf(d, -1.0) == 0.0
-        assert exact_cdf(d, 4.0) == 1.0
+        assert d.cdf(-1.0) == 0.0
+        assert d.cdf(4.0) == 1.0
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 30])
     def test_monotone_on_dense_grid(self, dim):
         xs = np.linspace(0, dim, 10001)
-        cdf = exact_cdf(exact_density(dim), xs)
+        cdf = exact_density(dim).cdf(xs)
         assert np.all(np.diff(cdf) >= 0.0)
         assert cdf[0] == 0.0
         assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
@@ -304,7 +324,7 @@ class TestExactCdf:
                 for a, b in ((0, 1), (1, 2), (2, 3))
                 if a < x
             )
-            assert exact_cdf(d, x) == pytest.approx(val, abs=1e-10)
+            assert d.cdf(x) == pytest.approx(val, abs=1e-10)
 
 
 class TestConvolutionConsistency:

@@ -71,6 +71,14 @@ class TestUsageErrorExitCodes:
         assert code == 2
         assert "-5" in err
 
+    def test_invalid_seed_value_is_named(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code, _, err = run_cli(["--seed", "-1", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("l1cube: error:")
+        assert "-1" in err
+        assert not out.exists()
+
     def test_duplicate_dims_rejected_before_output(self, tmp_path, capsys):
         out = tmp_path / "never"
         code, outs, err = run_cli(
@@ -162,6 +170,20 @@ class TestConfigFile:
         assert "450 pairs" in out
         assert "seed 2" in out
 
+    @pytest.mark.parametrize(
+        "line", ["format = xml", "pairs = many", "dims = 1,two", "seed = 1.5"]
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(f"# sweep\ngof = true\n{line}\n")
+        out = tmp_path / "never"
+        code, outs, err = run_cli(["--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(f"l1cube: error: {cfg}:3: {line.split()[0]}:")
+        assert err.count("\n") == 1
+        assert outs == ""
+        assert not out.exists()
+
     def test_config_error_surfaces_as_usage_failure(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("bins = zero\n")
@@ -204,6 +226,29 @@ class TestEndToEnd:
         digest = hashlib.sha256((tmp_path / "table.csv").read_bytes()).hexdigest()
         assert digest == (
             "6e5b8d41a3741ed9cb2b2d408273b691e7b5b4745b91253e73e122b9dd259265"
+        )
+
+    def test_gof_histograms_golden_json_and_stdout(self, tmp_path, capsys):
+        # Pins the bytes of report.json and of the stdout table for a run
+        # with every optional column, including one normal-only row and the
+        # histograms. The digests were computed before report rows were
+        # derived from the dataclass fields, so a reordered or renamed field
+        # shows up here. The output directory is masked in stdout.
+        code, out, _ = run_cli(
+            [
+                "--dims", "1,2,50", "--pairs", "2000", "--seed", "7",
+                "--gof", "--histograms", "--out", str(tmp_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        report = (tmp_path / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "4a0bed358070b28228b84492fa828a4995044fcf4de6bddfac141a63f622bef3"
+        )
+        stdout = out.replace(str(tmp_path), "OUT").encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "0a4088207cfade68d171eaf793598991d67912aecb5a41bc5781dd280a4f7b35"
         )
 
     def test_csv_only_format(self, tmp_path, capsys):

@@ -61,13 +61,13 @@ class TestSampleSpec:
 
 class TestStreams:
     def test_same_key_same_sequence(self):
-        a = derive_stream(7, 3).generator.random(32)
-        b = derive_stream(7, 3).generator.random(32)
+        a = derive_stream(7, 3).random(32)
+        b = derive_stream(7, 3).random(32)
         assert np.array_equal(a, b)
 
     def test_distinct_stream_ids_differ(self):
-        a = derive_stream(7, 0).generator.random(32)
-        b = derive_stream(7, 1).generator.random(32)
+        a = derive_stream(7, 0).random(32)
+        b = derive_stream(7, 1).random(32)
         assert not np.array_equal(a, b)
 
     def test_negative_stream_id_rejected(self):
@@ -85,7 +85,7 @@ class TestStreams:
         seq = derive_stream(11, 0)
         p = generate_point(seq, 4)
         q = generate_point(seq, 4)
-        flat = derive_stream(11, 0).generator.random(8)
+        flat = derive_stream(11, 0).random(8)
         assert np.array_equal(np.concatenate([p.coords, q.coords]), flat)
 
     def test_generate_point_rejects_bad_dim(self):
@@ -139,7 +139,7 @@ class TestSampleDistances:
         # pairwise kernel within 8192-coordinate spans, spans left to right.
         # The pure-Python reference pins that order bit for bit.
         spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=42)
-        u = derive_stream(42, 0).generator.random((num_pairs, 2, dim))
+        u = derive_stream(42, 0).random((num_pairs, 2, dim))
         got = _chunk_distances(spec, 0)
         for j in range(num_pairs):
             assert got[j] == reference_span_sum(np.abs(u[j, 0] - u[j, 1]).tolist())
