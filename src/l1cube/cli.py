@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from ._version import __version__
 from .experiment import (
@@ -55,24 +56,44 @@ def _parse_format(text: str) -> str:
     return text
 
 
-# Config-file keys and their value parsers; range checks are left to
-# ExperimentConfig, as for command-line values.
-_CONFIG_PARSERS = {
-    "dims": _parse_dims,
-    "pairs": int,
-    "seed": int,
-    "bins": int,
-    "out": str,
-    "format": _parse_format,
-    "gof": _parse_bool,
-    "histograms": _parse_bool,
+class _Setting(NamedTuple):
+    parse: Callable[[str], object]
+    default: object
+    field: str | None  # the ExperimentConfig field it fills, if any
+    help: str
+
+
+# Every setting, keyed by its flag and config-file name. The flags, the
+# config file, the defaults and the ExperimentConfig all come from here;
+# range rules live only in ExperimentConfig.
+_SETTINGS = {
+    "dims": _Setting(_parse_dims, DEFAULT_DIMS, "dims", "comma-separated dimensions "
+                     f"(default {','.join(map(str, DEFAULT_DIMS))})"),
+    "pairs": _Setting(int, DEFAULT_NUM_PAIRS, "num_pairs",
+                      f"point pairs sampled per dimension (default {DEFAULT_NUM_PAIRS})"),
+    "seed": _Setting(int, DEFAULT_SEED, "seed", f"root seed (default {DEFAULT_SEED})"),
+    "bins": _Setting(int, DEFAULT_BINS, "bins", f"histogram bin count (default {DEFAULT_BINS})"),
+    "out": _Setting(str, ".", None, "output directory (default current directory)"),
+    "format": _Setting(_parse_format, "both", None, "report formats to write (default both)"),
+    "gof": _Setting(_parse_bool, False, "emit_gof", "run goodness-of-fit tests per dimension"),
+    "histograms": _Setting(_parse_bool, False, "emit_histograms",
+                           "bin the samples and emit per-dimension figure data"),
 }
+
+
+def _checked(name: str, value):
+    """Return `value` for setting `name` once ExperimentConfig accepts it alone."""
+    field = _SETTINGS[name].field
+    if field is not None:
+        ExperimentConfig(**{field: value})
+    return value
 
 
 def load_config_file(path) -> dict:
     """Parse a flat `key = value` file; `#` starts a comment, blanks ignored.
 
-    Every malformed line raises ValueError prefixed with `path:lineno`.
+    Every malformed or out-of-range line raises ValueError prefixed with
+    `path:lineno`.
     """
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -83,10 +104,10 @@ def load_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](value)
+            values[key] = _checked(key, _SETTINGS[key].parse(value))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
@@ -102,48 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Defaults are None sentinels so config-file values can fill the gaps;
     # real defaults are applied after the merge.
-    parser.add_argument(
-        "--dims",
-        type=_parse_dims,
-        default=None,
-        help=f"comma-separated dimensions (default {','.join(map(str, DEFAULT_DIMS))})",
-    )
-    parser.add_argument(
-        "--pairs",
-        type=int,
-        default=None,
-        help=f"point pairs sampled per dimension (default {DEFAULT_NUM_PAIRS})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help=f"root seed (default {DEFAULT_SEED})"
-    )
-    parser.add_argument(
-        "--bins",
-        type=int,
-        default=None,
-        help=f"histogram bin count (default {DEFAULT_BINS})",
-    )
-    parser.add_argument(
-        "--out", default=None, help="output directory (default current directory)"
-    )
-    parser.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=None,
-        help="report formats to write (default both)",
-    )
-    parser.add_argument(
-        "--gof",
-        action="store_true",
-        default=None,
-        help="run goodness-of-fit tests per dimension",
-    )
-    parser.add_argument(
-        "--histograms",
-        action="store_true",
-        default=None,
-        help="bin the samples and emit per-dimension figure data",
-    )
+    # Switches take no value; --format lists its choices in --help.
+    for name, setting in _SETTINGS.items():
+        if setting.parse is _parse_bool:
+            kind = {"action": "store_true"}
+        elif setting.parse is _parse_format:
+            kind = {"choices": FORMATS}
+        else:
+            kind = {"type": setting.parse}
+        parser.add_argument(f"--{name}", default=None, help=setting.help, **kind)
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -152,23 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Merge precedence: command line, then config file, then defaults."""
-    settings = {
-        "dims": tuple(DEFAULT_DIMS),
-        "pairs": DEFAULT_NUM_PAIRS,
-        "seed": DEFAULT_SEED,
-        "bins": DEFAULT_BINS,
-        "out": ".",
-        "format": "both",
-        "gof": False,
-        "histograms": False,
-    }
+    """Merge precedence: command line, then config file, then defaults.
+
+    A flag's out-of-range value raises ValueError prefixed with the flag.
+    """
+    settings = {name: setting.default for name, setting in _SETTINGS.items()}
     if args.config is not None:
         settings.update(load_config_file(args.config))
-    for key in _CONFIG_PARSERS:
-        value = getattr(args, key)
+    for name in _SETTINGS:
+        value = getattr(args, name)
         if value is not None:
-            settings[key] = value
+            try:
+                settings[name] = _checked(name, value)
+            except ValueError as exc:
+                raise ValueError(f"--{name}: {exc}") from None
     return settings
 
 
@@ -220,12 +205,7 @@ def main(argv=None) -> int:
     try:
         settings = resolve_settings(args)
         config = ExperimentConfig(
-            dims=settings["dims"],
-            num_pairs=settings["pairs"],
-            seed=settings["seed"],
-            bins=settings["bins"],
-            emit_histograms=settings["histograms"],
-            emit_gof=settings["gof"],
+            **{s.field: settings[name] for name, s in _SETTINGS.items() if s.field}
         )
         _prepare_out_dir(settings["out"])
     except (ValueError, OSError) as exc:

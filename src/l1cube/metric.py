@@ -43,8 +43,8 @@ class Point:
         c = np.array(self.coords, dtype=np.float64, copy=True).ravel()
         if c.size < 1:
             raise ValueError("a point needs at least one coordinate")
-        # NaN fails both comparisons, so it is rejected here too.
-        if not (np.all(c >= 0.0) and np.all(c <= 1.0)):
+        # min and max propagate NaN, which fails both comparisons.
+        if not (c.min() >= 0.0 and c.max() <= 1.0):
             raise ValueError("coordinates must lie in [0, 1]")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)

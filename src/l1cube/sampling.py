@@ -23,6 +23,11 @@ _MASK64 = (1 << 64) - 1
 # depend on the degree of parallelism.
 CHUNK_PAIRS = 1024
 
+# Most uniforms drawn in one call. Consecutive draws from a Philox stream
+# equal one large draw bit for bit, so this bounds a chunk's memory at huge
+# dims without changing any output.
+_BLOCK_DRAWS = 1 << 20
+
 
 def _splitmix64(z: int) -> int:
     """SplitMix64 finalizer; a bijective 64-bit mix."""
@@ -56,7 +61,7 @@ class SampleSpec:
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
         if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 def derive_stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -80,16 +85,6 @@ def generate_point(stream: np.random.Generator, dim: int) -> Point:
     return Point(stream.random(dim))
 
 
-def _chunk_distances(spec: SampleSpec, chunk: int) -> np.ndarray:
-    start = chunk * CHUNK_PAIRS
-    m = min(CHUNK_PAIRS, spec.num_pairs - start)
-    gen = derive_stream(spec.seed, chunk)
-    # C-order fill: pair j consumes P's coordinates, then Q's, exactly as
-    # sequential generate_point calls would.
-    u = gen.random((m, 2, spec.dim))
-    return span_sum(np.abs(u[:, 0, :] - u[:, 1, :]))
-
-
 def sample_distances(spec: SampleSpec, workers: int = 1) -> np.ndarray:
     """Manhattan distances of `spec.num_pairs` fresh uniform point pairs.
 
@@ -97,10 +92,26 @@ def sample_distances(spec: SampleSpec, workers: int = 1) -> np.ndarray:
     for any `workers` value, because chunk c always draws from the
     substream (spec.seed, c) regardless of which worker runs it.
     """
+    out = np.empty(spec.num_pairs)
+    # Pairs per draw call, so a call holds at most _BLOCK_DRAWS uniforms
+    # (or one pair, if a pair needs more) whatever the dim.
+    step = max(1, _BLOCK_DRAWS // (2 * spec.dim))
+
+    def fill_chunk(chunk: int) -> None:
+        gen = derive_stream(spec.seed, chunk)
+        stop = min((chunk + 1) * CHUNK_PAIRS, spec.num_pairs)
+        for lo in range(chunk * CHUNK_PAIRS, stop, step):
+            hi = min(lo + step, stop)
+            # C-order fill: pair j consumes P's coordinates, then Q's, exactly
+            # as sequential generate_point calls would.
+            u = gen.random((hi - lo, 2, spec.dim))
+            out[lo:hi] = span_sum(np.abs(u[:, 0, :] - u[:, 1, :]))
+
     n_chunks = math.ceil(spec.num_pairs / CHUNK_PAIRS)
     if workers <= 1 or n_chunks == 1:
-        parts = [_chunk_distances(spec, c) for c in range(n_chunks)]
+        for c in range(n_chunks):
+            fill_chunk(c)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: _chunk_distances(spec, c), range(n_chunks)))
-    return np.concatenate(parts)
+            list(pool.map(fill_chunk, range(n_chunks)))
+    return out

@@ -63,12 +63,13 @@ class TestUsageErrorExitCodes:
     def test_invalid_dimension_value(self, tmp_path, capsys):
         code, _, err = run_cli(["--dims", "0", "--out", str(tmp_path)], capsys)
         assert code == 2
-        assert err.startswith("l1cube: error:")
+        assert err.startswith("l1cube: error: --dims:")
         assert "0" in err  # diagnostic names the offending dimension
 
     def test_invalid_pairs_value(self, tmp_path, capsys):
         code, _, err = run_cli(["--pairs", "-5", "--out", str(tmp_path)], capsys)
         assert code == 2
+        assert err.startswith("l1cube: error: --pairs:")
         assert "-5" in err
 
     def test_invalid_seed_value_is_named(self, tmp_path, capsys):
@@ -85,7 +86,7 @@ class TestUsageErrorExitCodes:
             ["--dims", "5,5", "--pairs", "10", "--histograms", "--out", str(out)], capsys
         )
         assert code == 2
-        assert err.startswith("l1cube: error:")
+        assert err.startswith("l1cube: error: --dims:")
         assert "5 more than once" in err
         assert outs == ""
         assert not out.exists()
@@ -171,7 +172,12 @@ class TestConfigFile:
         assert "seed 2" in out
 
     @pytest.mark.parametrize(
-        "line", ["format = xml", "pairs = many", "dims = 1,two", "seed = 1.5"]
+        "line",
+        [
+            "format = xml", "pairs = many", "dims = 1,two", "seed = 1.5",
+            # parse, but out of range for ExperimentConfig
+            "pairs = 1", "bins = 0", "dims = 3,3", "seed = -1",
+        ],
     )
     def test_bad_value_names_file_and_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.conf"

@@ -12,7 +12,6 @@ from l1cube import (
     sample_distances,
 )
 from l1cube.metric import SUM_SPAN
-from l1cube.sampling import _chunk_distances
 from pairwise_reference import span_sum as reference_span_sum
 
 
@@ -55,7 +54,9 @@ class TestSampleSpec:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # Each case breaks one field; the message names that field's value.
+        (bad,) = (v for k, v in kwargs.items() if v != dict(dim=1, num_pairs=1, seed=0)[k])
+        with pytest.raises(ValueError, match=f"got {bad}$"):
             SampleSpec(**kwargs)
 
 
@@ -123,10 +124,14 @@ class TestSampleDistances:
         long = sample_distances(SampleSpec(dim=2, num_pairs=CHUNK_PAIRS + 500, seed=5))
         assert np.array_equal(long[:CHUNK_PAIRS], short)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
         spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
         base = sample_distances(spec, workers=1)
         for workers in (2, 8):
+            assert np.array_equal(base, sample_distances(spec, workers=workers))
+        # Ten pairs per draw call: blocks end short at every chunk's end.
+        monkeypatch.setattr("l1cube.sampling._BLOCK_DRAWS", 64)
+        for workers in (1, 2):
             assert np.array_equal(base, sample_distances(spec, workers=workers))
 
     @pytest.mark.parametrize(
@@ -134,15 +139,20 @@ class TestSampleDistances:
         [(10, CHUNK_PAIRS), (20, CHUNK_PAIRS), (50, CHUNK_PAIRS), (100, CHUNK_PAIRS),
          (2 * SUM_SPAN + 5, 4)],
     )
-    def test_kernel_summation_order(self, dim, num_pairs):
+    def test_kernel_summation_order(self, dim, num_pairs, monkeypatch):
         # Each pair's coordinates are added in the stated order: numpy's
         # pairwise kernel within 8192-coordinate spans, spans left to right.
-        # The pure-Python reference pins that order bit for bit.
+        # The pure-Python reference pins that order bit for bit. One chunk
+        # (stream 0) covers every case here.
         spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=42)
         u = derive_stream(42, 0).random((num_pairs, 2, dim))
-        got = _chunk_distances(spec, 0)
+        got = sample_distances(spec)
         for j in range(num_pairs):
             assert got[j] == reference_span_sum(np.abs(u[j, 0] - u[j, 1]).tolist())
+        # Drawing a chunk in blocks of at most 64 uniforms (a few pairs at
+        # dim 10, one pair per call from dim 33 up) changes no bit.
+        monkeypatch.setattr("l1cube.sampling._BLOCK_DRAWS", 64)
+        assert np.array_equal(sample_distances(spec), got)
 
     def test_single_pair(self):
         d = sample_distances(SampleSpec(dim=1, num_pairs=1, seed=0))
