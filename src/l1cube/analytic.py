@@ -34,6 +34,13 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import ndtr
 
+__all__ = [
+    "EXACT_DENSITY_MAX_DIM", "UnsupportedDimensionError", "theoretical_mean",
+    "theoretical_variance", "theoretical_skewness", "theoretical_excess_kurtosis",
+    "TheoreticalMoments", "PiecewisePolynomial", "exact_density", "moments_of",
+    "NormalApprox", "normal_pdf", "normal_cdf", "sup_distance_to_normal",
+]
+
 # Ceiling for the exact density. The closed form itself holds at any
 # dimension, and its float64 CDF stays within 1.2e-16 of the exact one up to
 # at least dim 100. The ceiling stays because a sweep's rows above it would
@@ -103,18 +110,6 @@ class TheoreticalMoments:
         )
 
 
-def single_dim_density(z):
-    """Density of the one-dimensional distance |X - Y|: 2(1 - z) on [0, 1].
-
-    Accepts a scalar or an array; returns the same shape.
-    """
-    za = np.asarray(z, dtype=np.float64)
-    out = np.where((za >= 0.0) & (za <= 1.0), 2.0 * (1.0 - za), 0.0)
-    if np.isscalar(z) or za.ndim == 0:
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exact piecewise-polynomial density
 # ---------------------------------------------------------------------------
@@ -142,14 +137,6 @@ class PiecewisePolynomial:
     @property
     def dim(self) -> int:
         return len(self.numerators)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, float(self.dim))
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.arange(self.dim + 1, dtype=np.float64)
 
     # -- float projections, cached for evaluation ---------------------------
 
@@ -340,13 +327,14 @@ def normal_cdf(approx: NormalApprox, x):
     return out
 
 
-def sup_distance_to_normal(dim: int, grid_points: int = 20001) -> float:
+def sup_distance_to_normal(dim: int) -> float:
     """Sup-norm gap between the exact CDF and its normal approximation.
 
-    Quantifies the central-limit convergence rate; decreases like 1/sqrt(dim).
-    Requires the exact backend, so dim must be within its ceiling.
+    Taken over a 20,001-point grid on [0, dim]. Quantifies the central-limit
+    convergence rate; decreases like 1/sqrt(dim). Requires the exact backend,
+    so dim must be within its ceiling.
     """
     density = exact_density(dim)
     approx = NormalApprox.for_dim(dim)
-    xs = np.linspace(0.0, float(dim), grid_points)
+    xs = np.linspace(0.0, float(dim), 20001)
     return float(np.max(np.abs(density.cdf(xs) - normal_cdf(approx, xs))))

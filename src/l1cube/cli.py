@@ -33,12 +33,9 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"invalid dims {text!r}: expected comma-separated integers")
-    if not dims:
-        raise ValueError("dims list is empty")
-    return dims
+        raise ValueError(f"invalid dims {text!r}: expected comma-separated integers") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -92,8 +89,8 @@ def _checked(name: str, value):
 def load_config_file(path) -> dict:
     """Parse a flat `key = value` file; `#` starts a comment, blanks ignored.
 
-    Every malformed or out-of-range line raises ValueError prefixed with
-    `path:lineno`.
+    Every malformed, out-of-range or repeated line raises ValueError prefixed
+    with `path:lineno`.
     """
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -106,6 +103,8 @@ def load_config_file(path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: {key}: set more than once")
         try:
             values[key] = _checked(key, _SETTINGS[key].parse(value))
         except ValueError as exc:
@@ -122,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     # Defaults are None sentinels so config-file values can fill the gaps;
-    # real defaults are applied after the merge.
+    # real defaults are applied after the merge. Values stay text until
+    # resolve_settings parses them, so a bad value names its flag.
     # Switches take no value; --format lists its choices in --help.
     for name, setting in _SETTINGS.items():
         if setting.parse is _parse_bool:
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         elif setting.parse is _parse_format:
             kind = {"choices": FORMATS}
         else:
-            kind = {"type": setting.parse}
+            kind = {}
         parser.add_argument(f"--{name}", default=None, help=setting.help, **kind)
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument(
@@ -142,15 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_settings(args: argparse.Namespace) -> dict:
     """Merge precedence: command line, then config file, then defaults.
 
-    A flag's out-of-range value raises ValueError prefixed with the flag.
+    A flag's malformed or out-of-range value raises ValueError prefixed with
+    the flag.
     """
     settings = {name: setting.default for name, setting in _SETTINGS.items()}
     if args.config is not None:
         settings.update(load_config_file(args.config))
-    for name in _SETTINGS:
+    for name, setting in _SETTINGS.items():
         value = getattr(args, name)
         if value is not None:
             try:
+                if isinstance(value, str):  # switches arrive as bools
+                    value = setting.parse(value)
                 settings[name] = _checked(name, value)
             except ValueError as exc:
                 raise ValueError(f"--{name}: {exc}") from None

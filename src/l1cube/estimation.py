@@ -10,19 +10,20 @@ import numpy as np
 
 from .metric import span_sum
 
-# Asymptotic Kolmogorov quantiles: critical value = coefficient / sqrt(N).
-# Derived from Q(lam) = 2 * sum_k (-1)^(k-1) exp(-2 k^2 lam^2) at the two
-# significance levels used in reports.
-KS_COEFF_05 = 1.358
-KS_COEFF_01 = 1.628
+__all__ = [
+    "ks_critical_value", "MomentSummary", "summarize", "Histogram", "build_histogram",
+    "EmpiricalCdf", "ks_statistic",
+]
 
 _BLOCK = 1 << 16
 
 
 def ks_critical_value(n: int, significance: float) -> float:
     """Critical KS value for sample size n at significance 0.05 or 0.01."""
+    # Asymptotic Kolmogorov quantiles: critical value = coefficient / sqrt(N),
+    # from Q(lam) = 2 * sum_k (-1)^(k-1) exp(-2 k^2 lam^2).
     try:
-        coeff = {0.05: KS_COEFF_05, 0.01: KS_COEFF_01}[significance]
+        coeff = {0.05: 1.358, 0.01: 1.628}[significance]
     except KeyError:
         raise ValueError(f"unsupported significance {significance}; use 0.05 or 0.01")
     return coeff / math.sqrt(n)
@@ -33,9 +34,8 @@ class MomentSummary:
     """Count, mean and sum of squared deviations over a distance sample.
 
     An empty summary (count 0) carries NaN statistics and acts as the
-    identity for `merge`. Variance is exposed in both the population
-    (divide by N) and sample (divide by N - 1) conventions; reports state
-    which one they used.
+    identity for `merge`. Variance is the population one (divide by N), the
+    convention reports state in `variance_convention`.
     """
 
     count: int
@@ -55,12 +55,6 @@ class MomentSummary:
         if self.count == 0:
             return math.nan
         return self.m2 / self.count
-
-    @property
-    def variance_sample(self) -> float:
-        if self.count < 2:
-            return math.nan
-        return self.m2 / (self.count - 1)
 
     def merge(self, other: "MomentSummary") -> "MomentSummary":
         """Combine two summaries as if over the concatenated samples."""
@@ -147,25 +141,19 @@ def build_histogram(
     distances,
     bins: int = 30,
     density_mode: bool = False,
-    edges=None,
 ) -> Histogram:
     """Equal-width histogram over [min, max] of the data.
 
     The rightmost bin is closed on both sides, so the counts partition the
-    observations. Pass explicit `edges` for theory-driven binning instead of
-    the data-driven range (out-of-range observations are then dropped from
-    the counts).
+    observations.
     """
     x = np.asarray(distances, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("cannot build a histogram from an empty sample")
-    if edges is not None:
-        counts, out_edges = np.histogram(x, bins=np.asarray(edges, dtype=np.float64))
-    else:
-        if bins < 1:
-            raise ValueError(f"bins must be >= 1, got {bins}")
-        counts, out_edges = np.histogram(x, bins=bins)
-    return Histogram(out_edges, counts, density_mode)
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    counts, edges = np.histogram(x, bins=bins)
+    return Histogram(edges, counts, density_mode)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,11 @@ from .estimation import (
 )
 from .sampling import SampleSpec, derive_seed, sample_distances
 
+__all__ = [
+    "DEFAULT_DIMS", "DEFAULT_NUM_PAIRS", "ExperimentConfig", "DimensionReport",
+    "ExperimentReport", "compare_to_theory", "run_experiment",
+]
+
 DEFAULT_DIMS = (1, 2, 3, 5, 10, 20, 50, 100)
 DEFAULT_NUM_PAIRS = 10000
 DEFAULT_SEED = 0

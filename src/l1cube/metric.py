@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["Point", "manhattan_distance", "batch_distances"]
+
 # numpy adds a contiguous float64 run as a pairwise tree (8 lanes,
 # 128-element leaves). Before numpy 2.3 its iterator cut every reduction into
 # buffer-sized runs of 8192 and added their sums left to right; since 2.3 one

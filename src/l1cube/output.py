@@ -18,6 +18,7 @@ import csv
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -30,11 +31,23 @@ from .analytic import (
 from .estimation import Histogram
 from .experiment import DimensionReport, ExperimentConfig, ExperimentReport
 
+__all__ = [
+    "OutputBundle", "write_bundle", "dump_report_json", "write_report_json",
+    "load_report_json", "write_table_csv", "write_table_rows", "read_table_csv",
+    "emit_figure_data",
+]
+
 OVERLAY_GRID_POINTS = 512
 
 # One row schema: the CSV and stdout columns are DimensionReport's fields in
 # declaration order, less the histogram, which only the JSON report carries.
 TABLE_COLUMNS = tuple(f.name for f in fields(DimensionReport) if f.name != "histogram")
+# Each column's cell type: T for a field annotated `T` or `T | None`.
+_COLUMN_TYPES = {
+    col: next((t for t in get_args(hint) if t is not type(None)), hint)
+    for col, hint in get_type_hints(DimensionReport).items()
+    if col in TABLE_COLUMNS
+}
 FORMATS = ("csv", "json", "both")
 
 
@@ -46,8 +59,6 @@ def format_float(x: float) -> str:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
@@ -127,21 +138,12 @@ def write_table_csv(report: ExperimentReport, path) -> Path:
 
 
 def read_table_csv(path) -> list[dict]:
-    """Parse a table CSV back into typed per-dimension dicts."""
-    out = []
+    """Parse a table CSV back into typed per-dimension dicts; empty cells are None."""
     with open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            row = {}
-            for col in TABLE_COLUMNS:
-                raw = rec[col]
-                if col == "dim":
-                    row[col] = int(raw)
-                elif col == "gof_backend":
-                    row[col] = raw or None
-                else:
-                    row[col] = float(raw) if raw else None
-            out.append(row)
-    return out
+        return [
+            {col: kind(rec[col]) if rec[col] else None for col, kind in _COLUMN_TYPES.items()}
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def write_table_rows(rows: list[dict], path) -> Path:
@@ -185,25 +187,16 @@ def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
         paths.append(hist_path)
 
         xs = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], OVERLAY_GRID_POINTS)
-        approx = NormalApprox.for_dim(row.dim)
-        normal = normal_pdf(approx, xs)
-        overlay_path = out_dir / f"overlay_n{row.dim}.csv"
+        overlay = {"x": xs}
         if row.dim <= EXACT_DENSITY_MAX_DIM:
-            exact = exact_density(row.dim).pdf(xs)
-            _write_csv(
-                overlay_path,
-                ("x", "exact_pdf", "normal_pdf"),
-                [
-                    [format_float(x), format_float(e), format_float(n)]
-                    for x, e, n in zip(xs, exact, normal)
-                ],
-            )
-        else:
-            _write_csv(
-                overlay_path,
-                ("x", "normal_pdf"),
-                [[format_float(x), format_float(n)] for x, n in zip(xs, normal)],
-            )
+            overlay["exact_pdf"] = exact_density(row.dim).pdf(xs)
+        overlay["normal_pdf"] = normal_pdf(NormalApprox.for_dim(row.dim), xs)
+        overlay_path = out_dir / f"overlay_n{row.dim}.csv"
+        _write_csv(
+            overlay_path,
+            overlay,
+            [[format_float(v) for v in values] for values in zip(*overlay.values())],
+        )
         paths.append(overlay_path)
     return paths
 

@@ -17,6 +17,11 @@ import numpy as np
 
 from .metric import Point, span_sum
 
+__all__ = [
+    "CHUNK_PAIRS", "SampleSpec", "derive_seed", "derive_stream", "generate_point",
+    "sample_distances",
+]
+
 _MASK64 = (1 << 64) - 1
 
 # Fixed chunk size: chunk boundaries (and therefore outputs) must never

@@ -16,7 +16,6 @@ from l1cube import (
     moments_of,
     normal_cdf,
     normal_pdf,
-    single_dim_density,
     sup_distance_to_normal,
     theoretical_excess_kurtosis,
     theoretical_mean,
@@ -67,22 +66,24 @@ class TestClosedForms:
 
 class TestSingleDimDensity:
     def test_scalar_values(self):
-        assert single_dim_density(0.0) == 2.0
-        assert single_dim_density(1.0) == 0.0
-        assert single_dim_density(0.25) == 1.5
-        assert single_dim_density(-0.1) == 0.0
-        assert single_dim_density(1.1) == 0.0
+        pdf = exact_density(1).pdf
+        assert pdf(0.0) == 2.0
+        assert pdf(1.0) == 0.0
+        assert pdf(0.25) == 1.5
+        assert pdf(-0.1) == 0.0
+        assert pdf(1.1) == 0.0
 
     def test_array_form(self):
         z = np.array([-1.0, 0.0, 0.5, 2.0])
-        assert np.array_equal(single_dim_density(z), [0.0, 2.0, 1.0, 0.0])
+        assert np.array_equal(exact_density(1).pdf(z), [0.0, 2.0, 1.0, 0.0])
 
     def test_first_moment_is_one_third(self):
-        val, _ = quad(lambda z: z * single_dim_density(z), 0, 1)
+        pdf = exact_density(1).pdf
+        val, _ = quad(lambda z: z * pdf(z), 0, 1)
         assert val == pytest.approx(1 / 3, abs=1e-12)
 
     def test_normalized(self):
-        val, _ = quad(single_dim_density, 0, 1)
+        val, _ = quad(exact_density(1).pdf, 0, 1)
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -90,12 +91,11 @@ class TestExactDensity:
     def test_dim_one_is_the_triangle(self):
         d = exact_density(1)
         assert d.segments == ((Fraction(2), Fraction(-2)),)
-        assert d.support == (0.0, 1.0)
-        assert np.array_equal(d.breakpoints, [0.0, 1.0])
+        assert d.dim == 1
 
     def test_matches_triangle_pointwise(self):
         xs = np.linspace(0, 1, 101)
-        assert np.allclose(exact_density(1).pdf(xs), single_dim_density(xs), atol=1e-15)
+        assert np.allclose(exact_density(1).pdf(xs), 2 * (1 - xs), atol=1e-15)
 
     def test_dim_two_spot_values(self):
         # Reference values from an independent adaptive-quadrature

@@ -28,8 +28,8 @@ class TestArgumentHandling:
         assert settings["histograms"] is False
 
     def test_dims_parsing(self):
-        args = build_parser().parse_args(["--dims", "1,5,100"])
-        assert args.dims == (1, 5, 100)
+        settings = resolve_settings(build_parser().parse_args(["--dims", "1,5,100"]))
+        assert settings["dims"] == (1, 5, 100)
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(["--frobnicate"], capsys)
@@ -88,6 +88,15 @@ class TestUsageErrorExitCodes:
         assert code == 2
         assert err.startswith("l1cube: error: --dims:")
         assert "5 more than once" in err
+        assert outs == ""
+        assert not out.exists()
+
+    def test_empty_dims_token_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code, outs, err = run_cli(["--dims", "1,,2,", "--pairs", "10", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("l1cube: error: --dims:")
+        assert "'1,,2,'" in err
         assert outs == ""
         assert not out.exists()
 
@@ -174,9 +183,11 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "line",
         [
-            "format = xml", "pairs = many", "dims = 1,two", "seed = 1.5",
+            "format = xml", "pairs = many", "dims = 1,two", "seed = 1.5", "dims = 1,,2",
             # parse, but out of range for ExperimentConfig
             "pairs = 1", "bins = 0", "dims = 3,3", "seed = -1",
+            # repeats line 2's key
+            "gof = false",
         ],
     )
     def test_bad_value_names_file_and_line(self, tmp_path, capsys, line):
