@@ -184,10 +184,6 @@ class PiecewisePolynomial:
 
     # -- exact integrals -----------------------------------------------------
 
-    def integral(self) -> Fraction:
-        """Exact total mass."""
-        return self.moment(0)
-
     def moment(self, order: int, center: Fraction = Fraction(0)) -> Fraction:
         """Exact integral of (x - center)^order against the density.
 
@@ -317,8 +313,7 @@ def normal_pdf(approx: NormalApprox, x):
 def normal_cdf(approx: NormalApprox, x):
     """Gaussian CDF with the approximation's parameters (scalar or array).
 
-    Evaluated through the platform erf, a rational approximation correct to
-    about one ulp (absolute error well below 1e-12, no table lookups).
+    Evaluated through `scipy.special.ndtr`.
     """
     xa = np.asarray(x, dtype=np.float64)
     out = ndtr((xa - approx.mean) / approx.sigma)

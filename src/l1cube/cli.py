@@ -78,11 +78,19 @@ _SETTINGS = {
 }
 
 
-def _checked(name: str, value):
-    """Return `value` for setting `name` once ExperimentConfig accepts it alone."""
-    field = _SETTINGS[name].field
-    if field is not None:
-        ExperimentConfig(**{field: value})
+def _parse_setting(where: str, name: str, text: str):
+    """Parse setting `name` from `text` and range-check it in ExperimentConfig.
+
+    Every malformed or out-of-range value raises ValueError prefixed with
+    `where`, the flag or the config file's `path:lineno: key`.
+    """
+    setting = _SETTINGS[name]
+    try:
+        value = setting.parse(text)
+        if setting.field is not None:
+            ExperimentConfig(**{setting.field: value})
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     return value
 
 
@@ -105,10 +113,7 @@ def load_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{lineno}: {key}: set more than once")
-        try:
-            values[key] = _checked(key, _SETTINGS[key].parse(value))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+        values[key] = _parse_setting(f"{path}:{lineno}: {key}", key, value)
     return values
 
 
@@ -121,14 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     # Defaults are None sentinels so config-file values can fill the gaps;
-    # real defaults are applied after the merge. Values stay text until
-    # resolve_settings parses them, so a bad value names its flag.
-    # Switches take no value; --format lists its choices in --help.
+    # real defaults are applied after the merge. Every value stays text until
+    # resolve_settings parses it, so a bad value names its flag. Switches take
+    # no value and store "true"; --format lists its choices in --help.
     for name, setting in _SETTINGS.items():
         if setting.parse is _parse_bool:
-            kind = {"action": "store_true"}
+            kind = {"action": "store_const", "const": "true"}
         elif setting.parse is _parse_format:
-            kind = {"choices": FORMATS}
+            kind = {"metavar": "{" + ",".join(FORMATS) + "}"}
         else:
             kind = {}
         parser.add_argument(f"--{name}", default=None, help=setting.help, **kind)
@@ -148,15 +153,10 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     settings = {name: setting.default for name, setting in _SETTINGS.items()}
     if args.config is not None:
         settings.update(load_config_file(args.config))
-    for name, setting in _SETTINGS.items():
-        value = getattr(args, name)
-        if value is not None:
-            try:
-                if isinstance(value, str):  # switches arrive as bools
-                    value = setting.parse(value)
-                settings[name] = _checked(name, value)
-            except ValueError as exc:
-                raise ValueError(f"--{name}: {exc}") from None
+    for name in _SETTINGS:
+        text = getattr(args, name)
+        if text is not None:
+            settings[name] = _parse_setting(f"--{name}", name, text)
     return settings
 
 
@@ -179,8 +179,9 @@ def _format_cell(value, width: int) -> str:
     return f"{value:.4f}".rjust(width)
 
 
-# Widths of the stdout table's columns, in TABLE_COLUMNS order; the last
-# three are the GOF columns, shown only when GOF ran.
+# Widths of the stdout table's first 10 TABLE_COLUMNS; zip drops the other
+# two (ks_crit_001, gof_backend), which only the files carry. The last three
+# widths are GOF columns, shown only when GOF ran.
 _PRINT_WIDTHS = (4, 14, 16, 18, 20, 11, 11, 9, 9, 11)
 
 

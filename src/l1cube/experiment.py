@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 from ._version import __version__
 from .analytic import (
+    EXACT_DENSITY_MAX_DIM,
     NormalApprox,
-    UnsupportedDimensionError,
     exact_density,
     normal_cdf,
     theoretical_mean,
@@ -85,14 +85,17 @@ class DimensionReport:
     histogram: Histogram | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentReport:
-    """All sweep rows plus the provenance needed to reproduce them."""
+    """All sweep rows plus the provenance needed to reproduce them.
 
-    config: ExperimentConfig
-    rows: tuple[DimensionReport, ...]
+    Fields are declared in the JSON report's key order.
+    """
+
     version: str = __version__
     variance_convention: str = "population"
+    config: ExperimentConfig
+    rows: tuple[DimensionReport, ...]
 
 
 def compare_to_theory(summary: MomentSummary, dim: int) -> tuple[float, float]:
@@ -131,13 +134,9 @@ def _run_dim(config: ExperimentConfig, dim: int) -> DimensionReport:
         ecdf = EmpiricalCdf.from_values(distances)
         approx = NormalApprox.for_dim(dim)
         ks_normal = ks_statistic(ecdf, lambda x: normal_cdf(approx, x))
-        try:
-            density = exact_density(dim)
-        except UnsupportedDimensionError:
-            backend = "normal_only"
-        else:
-            ks_exact = ks_statistic(ecdf, density.cdf)
-            backend = "exact"
+        backend = "exact" if dim <= EXACT_DENSITY_MAX_DIM else "normal_only"
+        if backend == "exact":
+            ks_exact = ks_statistic(ecdf, exact_density(dim).cdf)
         crit05 = ks_critical_value(config.num_pairs, 0.05)
         crit01 = ks_critical_value(config.num_pairs, 0.01)
 

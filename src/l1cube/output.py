@@ -81,15 +81,6 @@ def _plain(value):
     return value
 
 
-def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "version": report.version,
-        "variance_convention": report.variance_convention,
-        "config": _plain(report.config),
-        "rows": _plain(report.rows),
-    }
-
-
 def report_from_dict(data: dict) -> ExperimentReport:
     rows = []
     for r in data["rows"]:
@@ -104,7 +95,7 @@ def report_from_dict(data: dict) -> ExperimentReport:
 
 def dump_report_json(report: ExperimentReport) -> str:
     """Serialize with stable key order; includes the full config for provenance."""
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return json.dumps(_plain(report), indent=2) + "\n"
 
 
 def write_report_json(report: ExperimentReport, path) -> Path:
@@ -131,10 +122,7 @@ def _write_csv(path: Path, header, rows) -> Path:
 
 def write_table_csv(report: ExperimentReport, path) -> Path:
     """One CSV row per dimension, in sweep order."""
-    rows = [
-        [_cell(getattr(row, col)) for col in TABLE_COLUMNS] for row in report.rows
-    ]
-    return _write_csv(Path(path), TABLE_COLUMNS, rows)
+    return write_table_rows([vars(row) for row in report.rows], path)
 
 
 def read_table_csv(path) -> list[dict]:

@@ -52,6 +52,7 @@ class TestArgumentHandling:
         code, out, _ = run_cli(["--help"], capsys)
         assert code == 0
         assert "--dims" in out
+        assert "--format {csv,json,both}" in out
 
     def test_version(self, capsys):
         code, out, _ = run_cli(["--version"], capsys)
@@ -97,6 +98,16 @@ class TestUsageErrorExitCodes:
         assert code == 2
         assert err.startswith("l1cube: error: --dims:")
         assert "'1,,2,'" in err
+        assert outs == ""
+        assert not out.exists()
+
+    def test_unknown_format_is_one_named_line(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code, outs, err = run_cli(["--format", "xml", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("l1cube: error: --format:")
+        assert err.count("\n") == 1
+        assert "usage:" not in err
         assert outs == ""
         assert not out.exists()
 
