@@ -4,12 +4,15 @@ Every stream is a counter-based Philox substream keyed by (seed, stream_id),
 so any substream can be opened independently on any worker and the sampled
 sequence never depends on scheduling order. Distance sampling is chunked at
 a fixed size with chunk c drawn from stream_id = c; the output is therefore
-bitwise identical for any worker count.
+bitwise identical for any worker count. By default the chunks run on every
+CPU the process may use (so `taskset` limits them), and the bytes do not
+depend on how many that is.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -90,13 +93,26 @@ def generate_point(stream: np.random.Generator, dim: int) -> Point:
     return Point(stream.random(dim))
 
 
-def sample_distances(spec: SampleSpec, workers: int = 1) -> np.ndarray:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray:
     """Manhattan distances of `spec.num_pairs` fresh uniform point pairs.
 
     A pure function of the spec: the returned sequence is bitwise identical
     for any `workers` value, because chunk c always draws from the
-    substream (spec.seed, c) regardless of which worker runs it.
+    substream (spec.seed, c) regardless of which worker runs it. `workers`
+    defaults to the number of usable CPUs; the pool never exceeds the chunk
+    count, and a single worker runs the chunks in this thread.
     """
+    if workers is None:
+        workers = _usable_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out = np.empty(spec.num_pairs)
     # Pairs per draw call, so a call holds at most _BLOCK_DRAWS uniforms
     # (or one pair, if a pair needs more) whatever the dim.
@@ -113,7 +129,8 @@ def sample_distances(spec: SampleSpec, workers: int = 1) -> np.ndarray:
             out[lo:hi] = span_sum(np.abs(u[:, 0, :] - u[:, 1, :]))
 
     n_chunks = math.ceil(spec.num_pairs / CHUNK_PAIRS)
-    if workers <= 1 or n_chunks == 1:
+    workers = min(workers, n_chunks)
+    if workers == 1:
         for c in range(n_chunks):
             fill_chunk(c)
     else:

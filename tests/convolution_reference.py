@@ -10,7 +10,9 @@ package's evaluation expects them, one `float(Fraction)` per coefficient,
 so the program's matrices can be compared to it with `np.array_equal`.
 `fraction_moment` integrates moments of exact segments the same slow way,
 one `Fraction` product per coefficient, as the oracle for the program's
-integer `PiecewisePolynomial.moment`.
+integer `PiecewisePolynomial.moment`. `gather_eval` evaluates a coefficient
+matrix point by point, gathering each point's segment row, as the oracle
+for the program's per-segment evaluation.
 """
 
 import math
@@ -136,3 +138,26 @@ def fraction_moment(segments, order: int, center=Fraction(0)) -> Fraction:
                     prod[i + j] += bi * cj
         total += sum(c / (i + 1) for i, c in enumerate(prod))
     return total
+
+
+def gather_eval(coeff_mat, dim: int, x, fill_low: float, fill_high: float):
+    """Piecewise-polynomial values by per-point coefficient gather.
+
+    The evaluation the package used before it went segment by segment:
+    each point's segment index clip(floor(x), 0, dim - 1), then Horner's
+    rule with each coefficient gathered per point, starting from 0. Kept
+    as the oracle the per-segment evaluator must equal bit for bit.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    scalar = np.isscalar(x) or xa.ndim == 0
+    xv = np.atleast_1d(xa)
+    with np.errstate(invalid="ignore"):
+        seg = np.clip(np.floor(xv).astype(np.int64), 0, dim - 1)
+        t = xv - seg
+        res = np.zeros_like(xv)
+        for c in coeff_mat.T[::-1]:
+            res = res * t + c[seg]
+    res = np.where(xv < 0.0, fill_low, np.where(xv > dim, fill_high, res))
+    if scalar:
+        return float(res[0])
+    return res.reshape(xa.shape)

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from convolution_reference import convolution_chain, float_projection, fraction_moment
+from convolution_reference import (
+    convolution_chain,
+    float_projection,
+    fraction_moment,
+    gather_eval,
+)
 from scipy.integrate import quad
 
 from l1cube import (
@@ -287,6 +292,71 @@ class TestClosedFormBeyondCeiling:
             t = Fraction(x) - seg
             exact = sum(c * t**i for i, c in enumerate(density.segments[seg]))
             assert density.pdf(x) == pytest.approx(float(exact), rel=1e-12)
+
+
+def evaluation_inputs(dim):
+    """Points that exercise every branch of the per-segment evaluator."""
+    rng = np.random.default_rng(dim)
+    breakpoints = np.arange(dim + 1, dtype=np.float64)
+    grid = np.sort(np.concatenate([
+        np.linspace(-1.0, dim + 1.0, 2001),
+        breakpoints,
+        np.nextafter(breakpoints, -np.inf),
+        np.nextafter(breakpoints, np.inf),
+        rng.uniform(0.0, dim, 1000),
+    ]))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, np.nan])
+    shuffled = rng.permutation(np.concatenate([grid, special]))
+    return {
+        "sorted": grid,
+        "sorted_with_infinities": np.concatenate([[-np.inf], grid, [np.inf]]),
+        "sorted_then_nan": np.concatenate([grid, [np.nan]]),
+        "unsorted": shuffled,
+        "2d_sorted": grid[: grid.size // 4 * 4].reshape(4, -1),
+        "2d_unsorted": shuffled[: shuffled.size // 5 * 5].reshape(-1, 5),
+        "empty": np.empty(0),
+    }
+
+
+def evaluation_scalars(dim):
+    return [*range(dim + 1), *map(float, range(dim + 1)), -0.5, -0.0, 0.5,
+            dim - 0.5, dim + 0.5, np.float64(dim / 3), math.nan, math.inf, -math.inf]
+
+
+class TestPerSegmentEvaluation:
+    """pdf and cdf against the per-point gather they replaced, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[*range(1, EXACT_DENSITY_MAX_DIM + 1), 100])
+    def density(self, request):
+        dim = request.param
+        return exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else _closed_form_density(dim)
+
+    @staticmethod
+    def assert_equal_to_gather(density, x):
+        pdf = gather_eval(density._pdf_coeffs, density.dim, x, 0.0, 0.0)
+        cdf = np.clip(gather_eval(density._cdf_coeffs, density.dim, x, 0.0, 1.0), 0.0, 1.0)
+        if isinstance(pdf, float):
+            cdf = float(cdf)
+        with np.errstate(invalid="ignore"):
+            got_pdf, got_cdf = density.pdf(x), density.cdf(x)
+        assert type(got_pdf) is type(pdf) and type(got_cdf) is type(cdf)
+        assert np.array_equal(got_pdf, pdf, equal_nan=True), x
+        assert np.array_equal(got_cdf, cdf, equal_nan=True), x
+
+    def test_arrays(self, density):
+        for x in evaluation_inputs(density.dim).values():
+            self.assert_equal_to_gather(density, x)
+
+    def test_scalars(self, density):
+        for x in evaluation_scalars(density.dim):
+            self.assert_equal_to_gather(density, x)
+
+    def test_input_left_unchanged(self, density):
+        x = evaluation_inputs(density.dim)["unsorted"]
+        before = x.copy()
+        with np.errstate(invalid="ignore"):
+            density.cdf(x)
+        assert np.array_equal(x, before, equal_nan=True)
 
 
 class TestExactCdf:

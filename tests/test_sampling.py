@@ -1,3 +1,6 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,20 @@ class TestStreams:
             generate_point(derive_stream(11, 0), 0)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Record the max_workers of every thread pool the sampler starts."""
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr("l1cube.sampling.ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestSampleDistances:
     def test_deterministic(self):
         spec = SampleSpec(dim=4, num_pairs=300, seed=21)
@@ -133,6 +150,38 @@ class TestSampleDistances:
         monkeypatch.setattr("l1cube.sampling._BLOCK_DRAWS", 64)
         for workers in (1, 2):
             assert np.array_equal(base, sample_distances(spec, workers=workers))
+
+    @pytest.mark.parametrize("workers", [0, -1, -8])
+    def test_rejects_worker_count_below_one(self, workers, pool_sizes):
+        spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
+        with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}$"):
+            sample_distances(spec, workers=workers)
+        assert pool_sizes == []
+
+    def test_pool_capped_at_chunk_count(self, pool_sizes):
+        one_chunk = SampleSpec(dim=3, num_pairs=CHUNK_PAIRS, seed=13)
+        base = sample_distances(one_chunk, workers=1)
+        assert np.array_equal(sample_distances(one_chunk, workers=8), base)
+        assert pool_sizes == []  # a single chunk starts no thread
+        three_chunks = SampleSpec(dim=3, num_pairs=2 * CHUNK_PAIRS + 1, seed=13)
+        base = sample_distances(three_chunks, workers=1)
+        assert np.array_equal(sample_distances(three_chunks, workers=8), base)
+        assert pool_sizes == [3]
+
+    def test_default_worker_count_is_usable_cpus(self, pool_sizes, monkeypatch):
+        spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
+        base = sample_distances(spec, workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert np.array_equal(sample_distances(spec), base)
+        assert pool_sizes == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert np.array_equal(sample_distances(spec), base)
+        assert pool_sizes == [2]
+        # Without an affinity call the CPU count stands in.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert np.array_equal(sample_distances(spec), base)
+        assert pool_sizes == [2, 3]
 
     @pytest.mark.parametrize(
         "dim, num_pairs",
