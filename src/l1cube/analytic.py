@@ -56,6 +56,17 @@ class UnsupportedDimensionError(ValueError):
     """The exact-density engine was asked for a dimension above its ceiling."""
 
 
+def _elementwise(f, x):
+    """Apply `f`, which maps a 1-D float64 array to one of the same length, to x.
+
+    The one scalar/array dispatch of the reference curves: a scalar or 0-d x
+    gives a float, any other x an array of its shape.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    out = f(xa.ravel()).reshape(xa.shape)
+    return float(out) if xa.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -159,23 +170,23 @@ class PiecewisePolynomial:
             cum += sum(anti)
         return np.array(rows)
 
-    def _eval(self, coeff_mat: np.ndarray, x, fill_low: float, fill_high: float):
-        xa = np.asarray(x, dtype=np.float64)
-        scalar = np.isscalar(x) or xa.ndim == 0
-        xv = xa.ravel()
-        # Sorted input (what ks_statistic passes) is evaluated as given; other
-        # input is sorted first and its values scattered back, so no copy is
-        # made on the common path. NaN fails the sortedness test and argsort
-        # puts it last.
+    def _eval(self, coeff_mat: np.ndarray, xv: np.ndarray, fill_high: float) -> np.ndarray:
+        # Sorted input (what ks_statistic passes) is used as given, with no
+        # copy; other input is sorted, then scattered back. NaN fails the
+        # sortedness test and argsort puts it last.
         order = None
         if not np.all(xv[:-1] <= xv[1:]):
             order = np.argsort(xv)
             xv = xv[order]
-        # Segment k holds the run of points in [k, k+1); points below 1 fall
-        # in segment 0 and points from dim - 1 up in the last one, as
-        # clip(floor(x), 0, dim - 1) would place them.
-        edges = [0, *np.searchsorted(xv, np.arange(1, self.dim)).tolist(), xv.size]
+        # The sorted points fall into consecutive runs: below 0, segment k's
+        # [k, k+1) for k = 0..dim-1 (the last closed at dim), above dim, NaN.
+        # Only the segment runs reach Horner's rule.
+        edges = [*np.searchsorted(xv, np.arange(self.dim)).tolist(),
+                 *np.searchsorted(xv, [self.dim, np.inf], side="right").tolist()]
         res = np.empty_like(xv)
+        res[:edges[0]] = 0.0
+        res[edges[-2]:edges[-1]] = fill_high
+        res[edges[-1]:] = np.nan
         for k, row in enumerate(coeff_mat):
             lo, hi = edges[k], edges[k + 1]
             if lo == hi:
@@ -186,24 +197,19 @@ class PiecewisePolynomial:
             for c in row[-2::-1]:  # Horner with scalar coefficients
                 run *= t
                 run += c
-        res[xv < 0.0] = fill_low
-        res[xv > self.dim] = fill_high
         if order is not None:
             unsorted = np.empty_like(res)
             unsorted[order] = res
             res = unsorted
-        if scalar:
-            return float(res[0])
-        return res.reshape(xa.shape)
+        return res
 
     def pdf(self, x):
-        """Density value(s) at x; 0 outside the support."""
-        return self._eval(self._pdf_coeffs, x, 0.0, 0.0)
+        """Density at x: float for scalar x, else x's shape; NaN at NaN, 0 outside [0, dim]."""
+        return _elementwise(lambda xv: self._eval(self._pdf_coeffs, xv, 0.0), x)
 
     def cdf(self, x):
-        """Cumulative distribution at x; exactly 0 below 0 and 1 above dim."""
-        out = self._eval(self._cdf_coeffs, x, 0.0, 1.0)
-        return float(np.clip(out, 0.0, 1.0)) if isinstance(out, float) else np.clip(out, 0.0, 1.0)
+        """CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 below 0, 1 above dim."""
+        return _elementwise(lambda xv: np.clip(self._eval(self._cdf_coeffs, xv, 1.0), 0.0, 1.0), x)
 
     # -- exact integrals -----------------------------------------------------
 
@@ -324,25 +330,14 @@ class NormalApprox:
 
 
 def normal_pdf(approx: NormalApprox, x):
-    """Gaussian density with the approximation's parameters (scalar or array)."""
-    xa = np.asarray(x, dtype=np.float64)
-    z = (xa - approx.mean) / approx.sigma
-    out = np.exp(-0.5 * z * z) / (_SQRT2PI * approx.sigma)
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(out)
-    return out
+    """Normal density at x: float for scalar x, else x's shape; NaN at NaN, 0 at +-inf."""
+    mu, sigma = approx.mean, approx.sigma
+    return _elementwise(lambda xv: np.exp(-0.5 * ((xv - mu) / sigma) ** 2) / (_SQRT2PI * sigma), x)
 
 
 def normal_cdf(approx: NormalApprox, x):
-    """Gaussian CDF with the approximation's parameters (scalar or array).
-
-    Evaluated through `scipy.special.ndtr`.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    out = ndtr((xa - approx.mean) / approx.sigma)
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(out)
-    return out
+    """Normal CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 at -inf, 1 at +inf."""
+    return _elementwise(lambda xv: ndtr((xv - approx.mean) / approx.sigma), x)
 
 
 def sup_distance_to_normal(dim: int) -> float:

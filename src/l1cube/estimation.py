@@ -180,9 +180,7 @@ class EmpiricalCdf:
     def evaluate(self, x):
         xa = np.asarray(x, dtype=np.float64)
         out = np.searchsorted(self.sorted_values, xa, side="right") / self.n
-        if np.isscalar(x) or xa.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if xa.ndim == 0 else out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmpiricalCdf):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from ._version import __version__
@@ -48,7 +49,14 @@ class ExperimentConfig:
     emit_gof: bool = False
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        def integer(name, value) -> int:
+            try:
+                return operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("num_pairs", "seed", "bins"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        dims = tuple(integer(f"dims[{i}]", d) for i, d in enumerate(self.dims))
         if not dims:
             raise ValueError("dims must be nonempty")
         bad = [d for d in dims if d < 1]

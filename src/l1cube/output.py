@@ -59,8 +59,6 @@ def format_float(x: float) -> str:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return format_float(value)
     return str(value)

@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -337,8 +338,7 @@ class TestPerSegmentEvaluation:
         cdf = np.clip(gather_eval(density._cdf_coeffs, density.dim, x, 0.0, 1.0), 0.0, 1.0)
         if isinstance(pdf, float):
             cdf = float(cdf)
-        with np.errstate(invalid="ignore"):
-            got_pdf, got_cdf = density.pdf(x), density.cdf(x)
+        got_pdf, got_cdf = density.pdf(x), density.cdf(x)
         assert type(got_pdf) is type(pdf) and type(got_cdf) is type(cdf)
         assert np.array_equal(got_pdf, pdf, equal_nan=True), x
         assert np.array_equal(got_cdf, cdf, equal_nan=True), x
@@ -354,9 +354,62 @@ class TestPerSegmentEvaluation:
     def test_input_left_unchanged(self, density):
         x = evaluation_inputs(density.dim)["unsorted"]
         before = x.copy()
-        with np.errstate(invalid="ignore"):
-            density.cdf(x)
+        density.cdf(x)
         assert np.array_equal(x, before, equal_nan=True)
+
+
+def _curves(dim):
+    """The four reference curves at `dim`, each as (name, f, limit at -inf, limit at +inf)."""
+    density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else _closed_form_density(dim)
+    approx = NormalApprox.for_dim(dim)
+    return [
+        ("pdf", density.pdf, 0.0, 0.0),
+        ("cdf", density.cdf, 0.0, 1.0),
+        ("normal_pdf", lambda x: normal_pdf(approx, x), 0.0, 0.0),
+        ("normal_cdf", lambda x: normal_cdf(approx, x), 0.0, 1.0),
+    ]
+
+
+class TestEvaluationContract:
+    """One contract for every curve: scalar in, float out; shape kept; NaN and +-inf."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 30, 100])
+    def test_no_warning_outside_support(self, dim):
+        points = [-np.inf, -1.0, dim + 1.0, np.inf]
+        for name, f, low, high in _curves(dim):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = f(np.array(points))
+                scalars = [f(x) for x in points]
+            assert got.tolist() == scalars, name
+            assert (scalars[0], scalars[-1]) == (low, high), name
+
+    @pytest.mark.parametrize("dim", [1, 4, 100])
+    def test_nan_gives_nan(self, dim):
+        for name, f, _, _ in _curves(dim):
+            assert math.isnan(f(math.nan)), name
+            assert np.isnan(f(np.array([math.nan, np.inf]))).tolist() == [True, False], name
+
+    @pytest.mark.parametrize("x", [1.25, 1, np.float64(1.25), np.array(1.25)], ids=repr)
+    def test_scalar_and_zero_d_give_float(self, x):
+        for name, f, _, _ in _curves(3):
+            out = f(x)
+            assert type(out) is float, name
+            assert out == f(np.array([x], dtype=np.float64))[0], name
+
+    def test_list_gives_array(self):
+        for name, f, _, _ in _curves(3):
+            out = f([0.5, 1.5, 2.5])
+            assert type(out) is np.ndarray and out.shape == (3,), name
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1, 2), (0, 4)])
+    def test_shape_kept(self, shape):
+        x = np.linspace(-0.5, 3.5, math.prod(shape)).reshape(shape)
+        for name, f, _, _ in _curves(3):
+            out = f(x)
+            assert out.shape == shape, name
+            assert np.array_equal(out.ravel(), f(x.ravel())), name
+            assert np.array_equal(f(x.T), out.T), name
 
 
 class TestExactCdf:

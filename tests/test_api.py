@@ -1,4 +1,7 @@
 import importlib
+from pathlib import Path
+
+import pytest
 
 import l1cube
 
@@ -65,3 +68,12 @@ def test_public_api_is_each_modules_own_list():
     assert sorted(["__version__", *owners]) == PUBLIC_NAMES
     for public in l1cube.__all__:
         assert getattr(l1cube, public) is not None
+
+
+@pytest.mark.filterwarnings("ignore:Support for .* is still \\*beta\\*")
+def test_pyproject_reads_the_package_version():
+    # The version is declared once, in l1cube/_version.py, which report.json carries.
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(Path(__file__).parents[1] / "pyproject.toml")
+    assert "version" in config["project"]["dynamic"]
+    assert config["project"]["version"] == l1cube.__version__

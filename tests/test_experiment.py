@@ -12,6 +12,7 @@ from l1cube import (
     SampleSpec,
     compare_to_theory,
     derive_seed,
+    dump_report_json,
     ks_critical_value,
     run_experiment,
     sample_distances,
@@ -50,6 +51,34 @@ class TestExperimentConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(dims=(2.7,)), r"dims\[0\] must be an integer, got 2.7"),
+            (dict(dims=(1, 2.0)), r"dims\[1\] must be an integer, got 2.0"),
+            (dict(num_pairs=100.5), "num_pairs must be an integer, got 100.5"),
+            (dict(num_pairs="100"), "num_pairs must be an integer, got '100'"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(bins=2.5), "bins must be an integer, got 2.5"),
+        ],
+        ids=["dim-2.7", "dim-2.0", "num_pairs-100.5", "num_pairs-str", "seed-1.5", "bins-2.5"],
+    )
+    def test_rejects_non_integers(self, kwargs, message):
+        # A float dim used to be truncated (2.7 ran dim 2); float counts
+        # passed the range checks and failed later with TypeError.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = ExperimentConfig(
+            dims=(np.int32(3),), num_pairs=np.int64(500), seed=np.uint64(2**63), bins=np.int16(7)
+        )
+        values = (*cfg.dims, cfg.num_pairs, cfg.seed, cfg.bins)
+        assert values == (3, 500, 2**63, 7)
+        assert all(type(v) is int for v in values)
+        plain = ExperimentConfig(dims=(3,), num_pairs=500, seed=2**63, bins=7)
+        assert dump_report_json(run_experiment(cfg)) == dump_report_json(run_experiment(plain))
 
     def test_duplicate_dims_rejected(self):
         # Repeated dims would repeat a row and overwrite its figure files.
