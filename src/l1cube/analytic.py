@@ -32,7 +32,6 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "EXACT_DENSITY_MAX_DIM", "UnsupportedDimensionError", "theoretical_mean",
@@ -336,8 +335,75 @@ def normal_pdf(approx: NormalApprox, x):
 
 
 def normal_cdf(approx: NormalApprox, x):
-    """Normal CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 at -inf, 1 at +inf."""
-    return _elementwise(lambda xv: ndtr((xv - approx.mean) / approx.sigma), x)
+    """Normal CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 at -inf, 1 at +inf.
+
+    The standard normal CDF is Cephes `ndtr` (see `_ndtr`), bit for bit as
+    scipy.special.ndtr computes it, with `exp` from the C library (libm).
+    """
+    return _elementwise(lambda xv: _ndtr((xv - approx.mean) / approx.sigma), x)
+
+
+# Cephes ndtr (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), after Cody's rational approximations of erf and erfc (Math. Comp.
+# 23, 1969). Coefficients lead with the highest power; a leading 1.0 is
+# Cephes' implicit one (p1evl).
+_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+           7.00332514112805075473E3, 5.55923013010394962768E4)
+_NDTR_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+           2.26290000613890934246E4, 4.92673942608635921086E4)
+_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_NDTR_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_NDTR_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285307350E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX): exp(-x^2) underflows beyond it
+_SQRT1_2 = 0.70710678118654752440
+# Points per block: bounds the temporaries whatever the input length.
+_NDTR_BLOCK = 1 << 14
+
+
+def _polevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule as Cephes runs it: multiply, then add, highest power first."""
+    out = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-D float64 array, as scipy.special.ndtr gives it.
+
+    Each branch and operation follows Cephes, so every value equals scipy's
+    bit for bit. `exp` is libm's through `math.exp`; numpy's own `exp`
+    rounds some points differently, depending on its SIMD dispatch.
+    """
+    out = np.empty_like(a)
+    for lo in range(0, a.size, _NDTR_BLOCK):
+        block = slice(lo, lo + _NDTR_BLOCK)
+        x = a[block] * _SQRT1_2
+        with np.errstate(over="ignore"):  # z = inf only where the CDF is 0 or 1
+            z = x * x
+        ax = np.abs(x)
+        res = out[block]
+        res[...] = x > 0.0  # where erfc underflows to 0, the CDF is 0 or 1
+        near = ax < 1.0  # 0.5 + 0.5 * erf(x)
+        xn, zn = x[near], z[near]
+        res[near] = 0.5 + 0.5 * (xn * _polevl(zn, _NDTR_T) / _polevl(zn, _NDTR_U))
+        # 0.5 * erfc(|x|), flipped for x > 0
+        for tail, num, den in (((ax >= 1.0) & (ax < 8.0), _NDTR_P, _NDTR_Q),
+                               ((ax >= 8.0) & (z <= _MAXLOG), _NDTR_R, _NDTR_S)):
+            at = ax[tail]
+            e = np.fromiter(map(math.exp, (-z[tail]).tolist()), np.float64, at.size)
+            y = 0.5 * (e * _polevl(at, num) / _polevl(at, den))
+            res[tail] = np.where(x[tail] > 0.0, 1.0 - y, y)
+        res[np.isnan(x)] = np.nan
+    return out
 
 
 def sup_distance_to_normal(dim: int) -> float:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 from ._version import __version__
@@ -24,7 +23,7 @@ from .estimation import (
     ks_statistic,
     summarize,
 )
-from .sampling import SampleSpec, derive_seed, sample_distances
+from .sampling import SampleSpec, _integer, derive_seed, sample_distances
 
 __all__ = [
     "DEFAULT_DIMS", "DEFAULT_NUM_PAIRS", "ExperimentConfig", "DimensionReport",
@@ -49,14 +48,12 @@ class ExperimentConfig:
     emit_gof: bool = False
 
     def __post_init__(self) -> None:
-        def integer(name, value) -> int:
-            try:
-                return operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         for name in ("num_pairs", "seed", "bins"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        dims = tuple(integer(f"dims[{i}]", d) for i, d in enumerate(self.dims))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        try:
+            dims = tuple(_integer(f"dims[{i}]", d) for i, d in enumerate(self.dims))
+        except TypeError:
+            raise ValueError(f"dims must be a sequence of integers, got {self.dims!r}") from None
         if not dims:
             raise ValueError("dims must be nonempty")
         bad = [d for d in dims if d < 1]

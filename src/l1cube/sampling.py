@@ -12,11 +12,15 @@ depend on how many that is.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that cost
+# in the import of this package rather than in the first sample drawn.
+from numpy.random import Generator, Philox
 
 from .metric import Point, span_sum
 
@@ -55,6 +59,14 @@ def derive_seed(seed: int, key: int) -> int:
     return _splitmix64((seed ^ _splitmix64(key & _MASK64)) & _MASK64)
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int (numpy integers included), or a ValueError naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """Full recipe for one Monte Carlo run: dimension, pair count, seed."""
@@ -64,6 +76,8 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("dim", "num_pairs", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_pairs < 1:
@@ -72,7 +86,7 @@ class SampleSpec:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
-def derive_stream(seed: int, stream_id: int) -> np.random.Generator:
+def derive_stream(seed: int, stream_id: int) -> Generator:
     """Open the Philox substream for (seed, stream_id).
 
     The 128-bit Philox key is (stream_id << 64) | seed: distinct stream ids
@@ -83,10 +97,10 @@ def derive_stream(seed: int, stream_id: int) -> np.random.Generator:
     if stream_id < 0:
         raise ValueError(f"stream_id must be >= 0, got {stream_id}")
     key = (seed & _MASK64) | ((stream_id & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
-def generate_point(stream: np.random.Generator, dim: int) -> Point:
+def generate_point(stream: Generator, dim: int) -> Point:
     """Draw one uniform point on [0, 1)^dim, advancing the stream by exactly dim draws."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")

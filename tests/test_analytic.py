@@ -12,6 +12,7 @@ from convolution_reference import (
     gather_eval,
 )
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from l1cube import (
     EXACT_DENSITY_MAX_DIM,
@@ -28,7 +29,7 @@ from l1cube import (
     theoretical_skewness,
     theoretical_variance,
 )
-from l1cube.analytic import _closed_form_density
+from l1cube.analytic import _MAXLOG, _NDTR_BLOCK, _closed_form_density, _ndtr
 
 MOMENT_DIMS = (1, 2, 3, 5, 10, 20, 30)
 
@@ -518,6 +519,59 @@ class TestNormalApprox:
         xs = np.array([0.0, 2 / 3, 2.0])
         assert normal_pdf(approx, xs).shape == (3,)
         assert np.all(np.diff(normal_cdf(approx, xs)) > 0)
+
+
+def _neighbours(edge, ulps=4):
+    """`edge` and its `ulps` nearest floats on each side."""
+    out = [edge]
+    for toward in (-np.inf, np.inf):
+        x = edge
+        for _ in range(ulps):
+            x = np.nextafter(x, toward)
+            out.append(x)
+    return out
+
+
+class TestNdtrParity:
+    """The numpy port of Cephes ndtr equals scipy.special.ndtr bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(a):
+        a = np.asarray(a, dtype=np.float64)
+        assert np.array_equal(_ndtr(a), ndtr(a), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * _MAXLOG)],
+        ids=["erf-erfc", "erfc-P-to-R", "underflow"],
+    )
+    def test_both_sides_of_each_branch_edge(self, edge):
+        # |x| = |a| / sqrt(2) crosses 1, 8 and sqrt(MAXLOG) at these edges.
+        self.assert_matches_scipy([s * v for s in (1.0, -1.0) for v in _neighbours(edge)])
+
+    def test_special_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        self.assert_matches_scipy(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 2.2250738585072009e-308,
+             -2.2250738585072009e-308, 1e300, -1e300]
+        )
+
+    @pytest.mark.parametrize("sigma", [1.0, 4.0])
+    def test_seeded_normal_draws(self, sigma):
+        a = np.random.default_rng(20261).normal(0.0, sigma, 10**6)
+        self.assert_matches_scipy(a)
+        self.assert_matches_scipy(np.sort(a))
+
+    @pytest.mark.parametrize("n", [_NDTR_BLOCK - 1, _NDTR_BLOCK, _NDTR_BLOCK + 1])
+    def test_block_boundaries(self, n):
+        self.assert_matches_scipy(np.linspace(-30.0, 30.0, n))
+
+    def test_two_dimensional_through_normal_cdf(self):
+        # With mean 0 and variance 1, normal_cdf standardizes exactly.
+        a = np.random.default_rng(7).normal(0.0, 3.0, (300, 70))
+        got = normal_cdf(NormalApprox(mean=0.0, variance=1.0), a)
+        assert got.shape == a.shape
+        assert np.array_equal(got, ndtr(a))
 
 
 class TestSupDistanceToNormal:

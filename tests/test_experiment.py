@@ -61,8 +61,10 @@ class TestExperimentConfig:
             (dict(num_pairs="100"), "num_pairs must be an integer, got '100'"),
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
             (dict(bins=2.5), "bins must be an integer, got 2.5"),
+            (dict(dims=5), "dims must be a sequence of integers, got 5"),
         ],
-        ids=["dim-2.7", "dim-2.0", "num_pairs-100.5", "num_pairs-str", "seed-1.5", "bins-2.5"],
+        ids=["dim-2.7", "dim-2.0", "num_pairs-100.5", "num_pairs-str", "seed-1.5", "bins-2.5",
+             "dims-int"],
     )
     def test_rejects_non_integers(self, kwargs, message):
         # A float dim used to be truncated (2.7 ran dim 2); float counts

@@ -62,6 +62,27 @@ class TestSampleSpec:
         with pytest.raises(ValueError, match=f"got {bad}$"):
             SampleSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(dim=2.5, num_pairs=10, seed=1), "dim must be an integer, got 2.5"),
+            (dict(dim=2, num_pairs=10.5, seed=1), "num_pairs must be an integer, got 10.5"),
+            (dict(dim=2, num_pairs=10, seed="1"), "seed must be an integer, got '1'"),
+        ],
+        ids=["dim", "num_pairs", "seed"],
+    )
+    def test_rejects_non_integers(self, kwargs, message):
+        # These used to construct, then fail in sample_distances with TypeError.
+        with pytest.raises(ValueError, match=message):
+            SampleSpec(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        spec = SampleSpec(dim=np.int32(3), num_pairs=np.int64(500), seed=np.uint64(2**63))
+        assert (spec.dim, spec.num_pairs, spec.seed) == (3, 500, 2**63)
+        assert all(type(v) is int for v in (spec.dim, spec.num_pairs, spec.seed))
+        plain = SampleSpec(dim=3, num_pairs=500, seed=2**63)
+        assert np.array_equal(sample_distances(spec), sample_distances(plain))
+
 
 class TestStreams:
     def test_same_key_same_sequence(self):
