@@ -9,6 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .metric import span_sum
+from .sampling import _integer
 
 __all__ = [
     "ks_critical_value", "MomentSummary", "summarize", "Histogram", "build_histogram",
@@ -26,6 +27,9 @@ def ks_critical_value(n: int, significance: float) -> float:
         coeff = {0.05: 1.358, 0.01: 1.628}[significance]
     except KeyError:
         raise ValueError(f"unsupported significance {significance}; use 0.05 or 0.01")
+    n = _integer("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return coeff / math.sqrt(n)
 
 
@@ -150,6 +154,7 @@ def build_histogram(
     x = np.asarray(distances, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("cannot build a histogram from an empty sample")
+    bins = _integer("bins", bins)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     counts, edges = np.histogram(x, bins=bins)
@@ -164,8 +169,10 @@ class EmpiricalCdf:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.sorted_values, dtype=np.float64)
-        if np.any(np.diff(v) < 0):
-            raise ValueError("values must be sorted nondecreasing")
+        # NaN compares false, so one pass of `<=` over neighbours rejects both
+        # a step down and a NaN anywhere; a lone value is compared to itself.
+        if v.ndim != 1 or (v.size and not (np.all(v[:-1] <= v[1:]) and v[0] == v[0])):
+            raise ValueError("values must be 1-D, sorted nondecreasing and contain no NaN")
         v.setflags(write=False)
         object.__setattr__(self, "sorted_values", v)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ._version import __version__
 from .analytic import (
     EXACT_DENSITY_MAX_DIM,
@@ -69,6 +71,11 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         object.__setattr__(self, "dims", dims)
+        for name in ("emit_histograms", "emit_gof"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
 
 
 @dataclass(frozen=True)

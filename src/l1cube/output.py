@@ -1,8 +1,9 @@
 """Serialization of experiment reports: JSON, CSV tables, plot-ready grids.
 
-All numeric fields are written with 17 significant digits so every float
-round-trips exactly; formatting is locale-independent and newline use is
-fixed, so identical reports serialize to identical bytes on any platform.
+CSV fields are written with 17 significant digits and JSON floats in their
+shortest exact form, so every float round-trips exactly; formatting is
+locale-independent and newline use is fixed, so identical reports serialize
+to identical bytes on any platform.
 
 A report itself is identical for an identical config because its samples
 come from Philox substreams, which are the same on every platform, and
@@ -18,7 +19,6 @@ import csv
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -28,13 +28,11 @@ from .analytic import (
     exact_density,
     normal_pdf,
 )
-from .estimation import Histogram
-from .experiment import DimensionReport, ExperimentConfig, ExperimentReport
+from .experiment import DimensionReport, ExperimentReport
 
 __all__ = [
     "OutputBundle", "write_bundle", "dump_report_json", "write_report_json",
-    "load_report_json", "write_table_csv", "write_table_rows", "read_table_csv",
-    "emit_figure_data",
+    "write_table_csv", "emit_figure_data",
 ]
 
 OVERLAY_GRID_POINTS = 512
@@ -42,12 +40,6 @@ OVERLAY_GRID_POINTS = 512
 # One row schema: the CSV and stdout columns are DimensionReport's fields in
 # declaration order, less the histogram, which only the JSON report carries.
 TABLE_COLUMNS = tuple(f.name for f in fields(DimensionReport) if f.name != "histogram")
-# Each column's cell type: T for a field annotated `T` or `T | None`.
-_COLUMN_TYPES = {
-    col: next((t for t in get_args(hint) if t is not type(None)), hint)
-    for col, hint in get_type_hints(DimensionReport).items()
-    if col in TABLE_COLUMNS
-}
 FORMATS = ("csv", "json", "both")
 
 
@@ -79,18 +71,6 @@ def _plain(value):
     return value
 
 
-def report_from_dict(data: dict) -> ExperimentReport:
-    rows = []
-    for r in data["rows"]:
-        hist = r.get("histogram")
-        rows.append(
-            DimensionReport(**{**r, "histogram": None if hist is None else Histogram(**hist)})
-        )
-    return ExperimentReport(
-        **{**data, "config": ExperimentConfig(**data["config"]), "rows": tuple(rows)}
-    )
-
-
 def dump_report_json(report: ExperimentReport) -> str:
     """Serialize with stable key order; includes the full config for provenance."""
     return json.dumps(_plain(report), indent=2) + "\n"
@@ -100,10 +80,6 @@ def write_report_json(report: ExperimentReport, path) -> Path:
     path = Path(path)
     path.write_text(dump_report_json(report), encoding="utf-8")
     return path
-
-
-def load_report_json(path) -> ExperimentReport:
-    return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +96,8 @@ def _write_csv(path: Path, header, rows) -> Path:
 
 def write_table_csv(report: ExperimentReport, path) -> Path:
     """One CSV row per dimension, in sweep order."""
-    return write_table_rows([vars(row) for row in report.rows], path)
-
-
-def read_table_csv(path) -> list[dict]:
-    """Parse a table CSV back into typed per-dimension dicts; empty cells are None."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [
-            {col: kind(rec[col]) if rec[col] else None for col, kind in _COLUMN_TYPES.items()}
-            for rec in csv.DictReader(fh)
-        ]
-
-
-def write_table_rows(rows: list[dict], path) -> Path:
-    """Inverse of read_table_csv; rewriting parsed rows reproduces the bytes."""
-    return _write_csv(
-        Path(path), TABLE_COLUMNS, [[_cell(r[col]) for col in TABLE_COLUMNS] for r in rows]
-    )
+    rows = [[_cell(getattr(row, col)) for col in TABLE_COLUMNS] for row in report.rows]
+    return _write_csv(Path(path), TABLE_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

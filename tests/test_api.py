@@ -1,4 +1,5 @@
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,12 +40,10 @@ PUBLIC_NAMES = [
     "generate_point",
     "ks_critical_value",
     "ks_statistic",
-    "load_report_json",
     "manhattan_distance",
     "moments_of",
     "normal_cdf",
     "normal_pdf",
-    "read_table_csv",
     "run_experiment",
     "sample_distances",
     "summarize",
@@ -56,7 +55,6 @@ PUBLIC_NAMES = [
     "write_bundle",
     "write_report_json",
     "write_table_csv",
-    "write_table_rows",
 ]
 
 
@@ -70,6 +68,14 @@ def test_public_api_is_each_modules_own_list():
     assert sorted(["__version__", *owners]) == PUBLIC_NAMES
     for public in l1cube.__all__:
         assert getattr(l1cube, public) is not None
+
+
+def test_readme_quick_start_runs():
+    # The first python block in README.md is the documented library example.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})
 
 
 @pytest.mark.filterwarnings("ignore:Support for .* is still \\*beta\\*")

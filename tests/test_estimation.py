@@ -29,6 +29,19 @@ class TestKsCriticalValue:
         with pytest.raises(ValueError, match="significance"):
             ks_critical_value(100, 0.10)
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0, "n must be >= 1, got 0"),
+            (-5, "n must be >= 1, got -5"),
+            (100.0, "n must be an integer, got 100.0"),
+        ],
+    )
+    def test_rejects_bad_sample_sizes(self, n, message):
+        # 0 used to raise ZeroDivisionError and -5 a math domain error.
+        with pytest.raises(ValueError, match=message):
+            ks_critical_value(n, 0.05)
+
 
 class TestMomentSummary:
     def test_empty(self):
@@ -203,6 +216,8 @@ class TestHistogram:
             build_histogram([])
         with pytest.raises(ValueError, match="bins"):
             build_histogram([0.1], bins=0)
+        with pytest.raises(ValueError, match="bins must be an integer, got 2.5"):
+            build_histogram([1.0, 2.0], bins=2.5)
         with pytest.raises(ValueError, match="strictly increasing"):
             Histogram(np.array([0.0, 0.0, 1.0]), np.array([1, 1]), False)
         with pytest.raises(ValueError, match="one entry per bin"):
@@ -231,6 +246,22 @@ class TestEmpiricalCdf:
     def test_rejects_unsorted_constructor_input(self):
         with pytest.raises(ValueError, match="sorted"):
             EmpiricalCdf(np.array([0.2, 0.1]))
+        with pytest.raises(ValueError, match="1-D"):
+            EmpiricalCdf(np.array([[0.1, 0.2], [0.3, 0.4]]))
+
+    @pytest.mark.parametrize(
+        "values", [[0.1, np.nan, 0.2], [np.nan], [np.nan, 0.1], [0.1, np.nan]]
+    )
+    def test_rejects_nan(self, values):
+        # NaN made the old `diff < 0` sortedness check pass, and KS return nan.
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalCdf(np.array(values))
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalCdf.from_values(values)
+
+    def test_accepts_empty_and_infinite_values(self):
+        assert EmpiricalCdf(np.array([])).n == 0
+        assert EmpiricalCdf(np.array([-np.inf, 0.5, np.inf])).n == 3
 
     def test_step_semantics(self):
         e = EmpiricalCdf.from_values([0.1, 0.4, 0.8])

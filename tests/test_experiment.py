@@ -72,6 +72,30 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(emit_gof=1), "emit_gof must be a bool, got 1"),
+            (dict(emit_gof="no"), "emit_gof must be a bool, got 'no'"),
+            (dict(emit_histograms=None), "emit_histograms must be a bool, got None"),
+            (dict(emit_histograms=1.0), "emit_histograms must be a bool, got 1.0"),
+        ],
+        ids=["gof-1", "gof-str", "histograms-None", "histograms-1.0"],
+    )
+    def test_rejects_non_bools(self, kwargs, message):
+        # 1 used to be written into report.json as 1, and "no" turned GOF on.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_bools_stored_as_bool(self):
+        cfg = ExperimentConfig(
+            dims=(2,), num_pairs=100, emit_gof=np.bool_(True), emit_histograms=np.bool_(False)
+        )
+        assert (cfg.emit_gof, cfg.emit_histograms) == (True, False)
+        assert type(cfg.emit_gof) is bool and type(cfg.emit_histograms) is bool
+        # A numpy bool used to reach json.dumps and fail after the whole sweep.
+        assert '"emit_gof": true' in dump_report_json(run_experiment(cfg))
+
     def test_numpy_integers_stored_as_int(self):
         cfg = ExperimentConfig(
             dims=(np.int32(3),), num_pairs=np.int64(500), seed=np.uint64(2**63), bins=np.int16(7)
