@@ -71,7 +71,7 @@ def _elementwise(f, x):
 # ---------------------------------------------------------------------------
 
 def _check_dim(dim: int) -> None:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
 
 

@@ -18,6 +18,15 @@ __all__ = [
 
 _BLOCK = 1 << 16
 
+# Sorted points per block of the bracketed KS evaluation.
+_KS_STRIDE = 256
+# Covers float CDFs that step back by a few ulps, and the rounding of the
+# block bounds; a block is skipped only when its bound misses by more.
+_KS_SLACK = 1e-9
+# Below this many points the second call into the reference costs more than
+# the evaluations it saves, so every point is evaluated at once.
+_KS_FULL_BELOW = 1 << 17
+
 
 def ks_critical_value(n: int, significance: float) -> float:
     """Critical KS value for sample size n at significance 0.05 or 0.01."""
@@ -85,12 +94,21 @@ def summarize(distances) -> MomentSummary:
     each 8192-element span, the spans added left to right. That is the order
     numpy itself used before 2.3; fixing it here keeps a report's bytes a
     function of its data alone, whatever numpy version computes them.
+
+    Raises ValueError if any distance is NaN or infinite.
     """
     x = np.asarray(distances, dtype=np.float64).ravel()
     total = MomentSummary.empty()
     for start in range(0, x.size, _BLOCK):
         block = x[start : start + _BLOCK]
-        mean = float(span_sum(block)) / block.size
+        # NaN or inf anywhere in the block makes its sum, and so its mean,
+        # non-finite: one test per block, no extra pass over the data. The
+        # ValueError below reports it, so numpy's warning for inf - inf or
+        # an overflowing sum is silenced.
+        with np.errstate(invalid="ignore", over="ignore"):
+            mean = float(span_sum(block)) / block.size
+        if not math.isfinite(mean):
+            raise ValueError("distances must be finite (no NaN or inf), with a finite sum")
         m2 = float(span_sum((block - mean) ** 2))
         total = total.merge(MomentSummary(block.size, mean, m2))
     return total
@@ -198,20 +216,65 @@ class EmpiricalCdf:
 def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
     """Kolmogorov-Smirnov statistic of a sample against a reference CDF.
 
-    Evaluates sup_x |F_N(x) - F(x)| at both one-sided limits of every
-    sample point: max over i of max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N).
+    The statistic is sup_x |F_N(x) - F(x)|, taken at both one-sided limits
+    of every sample point: max over i of max(i/N - F(x_(i)), F(x_(i)) -
+    (i-1)/N). `reference_cdf` must be a nondecreasing CDF applied
+    elementwise: given an array of points it returns F at each of them (a
+    callable that takes scalars only is also accepted).
+
+    F is evaluated only in the blocks of sorted points that can hold the
+    supremum. Every 256th point bounds F over the block it starts, because
+    F is nondecreasing, and blocks whose bound falls short of a value
+    already attained are skipped. The result is the same double as when
+    every point is evaluated.
     """
     xs = sample.sorted_values
     n = xs.size
     if n == 0:
         raise ValueError("KS statistic of an empty sample is undefined")
+    if n >= _KS_FULL_BELOW:
+        d = _ks_bracketed(xs, reference_cdf)
+        if d is not None:
+            return d
     try:
         ref = np.asarray(reference_cdf(xs), dtype=np.float64)
         if ref.shape != xs.shape:
             raise TypeError
     except (TypeError, ValueError):
         ref = np.array([float(reference_cdf(v)) for v in xs])
-    steps = np.arange(1, n + 1) / n
+    return _ks_terms_max(np.arange(n), ref, n)
+
+
+def _ks_terms_max(idx: np.ndarray, ref: np.ndarray, n: int) -> float:
+    """Largest KS term over the sorted indices `idx`, with F(x_(idx)) = `ref`."""
+    steps = (idx + 1) / n
     d_plus = float(np.max(steps - ref))
     d_minus = float(np.max(ref - (steps - 1.0 / n)))
     return max(d_plus, d_minus, 0.0)
+
+
+def _ks_bracketed(xs: np.ndarray, reference_cdf: Callable) -> float | None:
+    """KS statistic from F at every block start plus F in the blocks that can win.
+
+    None when F cannot take the coarse points as one array or steps back
+    across them by more than the slack: the caller then evaluates every point.
+    """
+    n = xs.size
+    coarse = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    try:
+        f = np.asarray(reference_cdf(xs[coarse]), dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    # NaN fails this comparison too.
+    if f.shape != coarse.shape or not np.all(f[1:] >= f[:-1] - _KS_SLACK):
+        return None
+    low = _ks_terms_max(coarse, f, n)
+    # Block j holds sorted indices coarse[j] .. coarse[j + 1] - 1. As F is
+    # nondecreasing, F(x_(coarse[j])) <= F there <= F(x_(coarse[j + 1])).
+    bound = np.maximum(coarse[1:] / n - f[:-1], f[1:] - coarse[:-1] / n)
+    starts = coarse[:-1][bound + _KS_SLACK >= low]
+    if starts.size == 0:
+        return low
+    idx = np.minimum((starts[:, None] + np.arange(_KS_STRIDE)).ravel(), n - 1)
+    ref = np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
+    return max(low, _ks_terms_max(idx, ref, n))

@@ -60,8 +60,13 @@ def derive_seed(seed: int, key: int) -> int:
 
 
 def _integer(name: str, value) -> int:
-    """`value` as an int (numpy integers included), or a ValueError naming `name`."""
+    """`value` as an int (numpy integers included), or a ValueError naming `name`.
+
+    A bool is rejected too: where a count is meant, True is a caller's mistake.
+    """
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

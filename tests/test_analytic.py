@@ -53,7 +53,7 @@ class TestClosedForms:
         assert all(a > b > 0 for a, b in zip(skews, skews[1:]))
         assert all(a < b < 0 for a, b in zip(kurts, kurts[1:]))
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, "7"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "7", True])
     def test_rejects_non_positive_int(self, bad):
         for fn in (theoretical_mean, theoretical_variance, theoretical_skewness):
             with pytest.raises(ValueError):

@@ -6,17 +6,23 @@ import scipy.special
 import scipy.stats
 
 from l1cube import (
+    EXACT_DENSITY_MAX_DIM,
     EmpiricalCdf,
     Histogram,
     MomentSummary,
+    NormalApprox,
     SampleSpec,
     build_histogram,
     exact_density,
     ks_critical_value,
     ks_statistic,
+    normal_cdf,
     sample_distances,
     summarize,
 )
+from l1cube import estimation
+from l1cube.analytic import _closed_form_density
+from ks_reference import full_ks
 from pairwise_reference import span_sum as reference_span_sum
 
 
@@ -35,6 +41,7 @@ class TestKsCriticalValue:
             (0, "n must be >= 1, got 0"),
             (-5, "n must be >= 1, got -5"),
             (100.0, "n must be an integer, got 100.0"),
+            (True, "n must be an integer, got True"),
         ],
     )
     def test_rejects_bad_sample_sizes(self, n, message):
@@ -63,6 +70,22 @@ class TestMomentSummary:
         assert s.count == 0
         assert math.isnan(s.mean)
         assert math.isnan(s.variance_population)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.1, math.nan, 0.3],
+            [0.1, math.inf, 0.3],
+            [math.inf, -math.inf, 0.3],
+            [1e308, 1e308],
+            [0.5] * 70_000 + [-math.inf],
+        ],
+        ids=["nan", "inf", "inf-minus-inf", "overflow", "second-block"],
+    )
+    def test_rejects_non_finite(self, values):
+        # NaN used to give mean=nan, m2=nan; inf a RuntimeWarning.
+        with pytest.raises(ValueError, match="must be finite"):
+            summarize(values)
 
     def test_two_point_sample(self):
         s = summarize([0.0, 1.0])
@@ -353,3 +376,141 @@ class TestKsStatistic:
         wrong = NormalApprox.for_dim(2)
         d = ks_statistic(EmpiricalCdf.from_values(x), lambda v: normal_cdf(wrong, v))
         assert d > 10 * ks_critical_value(2000, 0.01)
+
+
+def _reference_cdfs(dim: int) -> tuple:
+    """Both references of a sweep row: the normal limit and the exact CDF."""
+    approx = NormalApprox.for_dim(dim)
+    # The closed form holds at any dim; exact_density stops at its ceiling.
+    density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else _closed_form_density(dim)
+    return (lambda x: normal_cdf(approx, x), density.cdf)
+
+
+def _table_reference(table: list) -> tuple:
+    """The sample 0, 1, ..., n - 1 and a reference with F(i) = table[i]."""
+    values = np.array(table, dtype=np.float64)
+    sample = EmpiricalCdf(np.arange(values.size, dtype=np.float64))
+    return sample, lambda x: values[np.asarray(x, dtype=np.float64).astype(np.int64)]
+
+
+class TestKsBlocks:
+    """ks_statistic skips blocks of sorted points; it must return full_ks's double."""
+
+    STRIDE = estimation._KS_STRIDE
+    FULL_BELOW = estimation._KS_FULL_BELOW
+
+    @pytest.fixture
+    def blocks_at_any_size(self, monkeypatch):
+        # Take the block path at every N, so small constructed samples reach it.
+        monkeypatch.setattr(estimation, "_KS_FULL_BELOW", 0)
+
+    @staticmethod
+    def assert_matches(sample, reference):
+        assert ks_statistic(sample, reference) == full_ks(sample, reference)
+
+    @pytest.mark.parametrize("dim", [*range(1, 31), 50, 100])
+    def test_dims_against_both_references(self, dim):
+        # Just past the threshold, with a partial last block.
+        n = self.FULL_BELOW + self.STRIDE + 3
+        e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, n, seed=dim)))
+        for reference in _reference_cdfs(dim):
+            self.assert_matches(e, reference)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sizes_up_past_the_threshold(self, seed, monkeypatch):
+        t, m = self.FULL_BELOW, self.STRIDE
+        refs = _reference_cdfs(3)
+        for n in [t - 1, t, t + 1, t + m - 1, t + m, 2 * t + 2 * m + 1]:
+            e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=seed)))
+            for reference in refs:
+                self.assert_matches(e, reference)
+        monkeypatch.setattr(estimation, "_KS_FULL_BELOW", 0)
+        for n in [2, 3, 4, m - 1, m, m + 1, m + 2, 2 * m - 1, 2 * m, 2 * m + 1, 1000, 4097]:
+            e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=seed)))
+            for reference in refs:
+                self.assert_matches(e, reference)
+
+    @pytest.mark.parametrize("dim", [1, 5, 20])
+    def test_million_points(self, dim):
+        e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, 1_000_000, seed=dim)))
+        for reference in _reference_cdfs(dim):
+            self.assert_matches(e, reference)
+
+    def test_evaluates_a_fraction_of_points(self):
+        # At sweep-heavy's 10^6 points per row, the blocks that can hold the
+        # supremum hold about 7% (normal) and 12% (exact) of them at dim 5.
+        n = 1_000_000
+        e = EmpiricalCdf.from_values(sample_distances(SampleSpec(5, n, seed=5)))
+        for reference in _reference_cdfs(5):
+            sizes = []
+            ks_statistic(e, lambda x: sizes.append(x.size) or reference(x))
+            assert len(sizes) == 2 and sum(sizes) < n // 4
+
+    @pytest.mark.usefixtures("blocks_at_any_size")
+    @pytest.mark.parametrize("n", [5000, 300_000])
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            # Seven jumps of 1/7: the supremum sits just before a jump
+            # (floor) or just after one (ceil), mostly inside a block.
+            lambda x: np.floor(np.asarray(x) * 7) / 7,
+            lambda x: np.minimum(np.ceil(np.asarray(x) * 7) / 7, 1.0),
+            # Flat over [0.3, 0.6] and [0.8, 0.9], each many blocks long.
+            lambda x: np.interp(x, [0, 0.3, 0.6, 0.8, 0.9, 1], [0, 0.45, 0.45, 0.9, 0.9, 1]),
+            # Steps back by 1e-15 at about half the points, within the slack.
+            lambda x: np.asarray(x) - 1e-15 * (np.asarray(x) * 1e6 % 1.0 < 0.5),
+            # Not a CDF: decreasing, so the coarse points send it to the full path.
+            lambda x: 1.0 - np.asarray(x),
+        ],
+        ids=["step-floor", "step-ceil", "flat-stretches", "steps-back", "decreasing"],
+    )
+    def test_adversarial_references(self, n, reference):
+        e = EmpiricalCdf.from_values(np.random.default_rng(n).random(n))
+        self.assert_matches(e, reference)
+
+    @pytest.mark.usefixtures("blocks_at_any_size")
+    def test_supremum_in_first_block(self):
+        # F jumps to 0.3 at point 5, inside block 0: F(5) - 5/n is the supremum.
+        n = 2000
+        sample, reference = _table_reference(
+            [(i + 0.5) / n if i < 5 else max(0.3, (i + 0.5) / n) for i in range(n)])
+        assert ks_statistic(sample, reference) == full_ks(sample, reference) == 0.3 - 5 / n
+
+    @pytest.mark.usefixtures("blocks_at_any_size")
+    def test_supremum_in_last_partial_block(self):
+        # Blocks start at 0, 256, ..., 1792; the last one is partial. F is flat
+        # from point 1850 on and jumps to 1 at the last point, so the
+        # supremum is (n - 1)/n - F(n - 2), inside that block.
+        n = 2000
+        table = [(min(i, 1850) + 0.5) / n for i in range(n - 1)] + [1.0]
+        sample, reference = _table_reference(table)
+        assert ks_statistic(sample, reference) == full_ks(sample, reference)
+        assert full_ks(sample, reference) == (n - 1) / n - table[n - 2]
+
+    @pytest.mark.usefixtures("blocks_at_any_size")
+    def test_supremum_beyond_a_bound_by_a_backward_step(self):
+        # Block 2 (points 512..767) is flat, so its D+ bound 768/n - F(512)
+        # is attained at point 767, up to the 1e-15 that F steps back there.
+        # The bound sits 5e-16 under the value the coarse point 1280 attains,
+        # so only the slack keeps block 2, and its supremum, from being skipped.
+        n, low = 2000, 0.3
+        flat = 768 / n - low + 5e-16
+        table = [min((i + 0.5) / n, flat) for i in range(767)] + [flat - 1e-15, flat + 1 / n]
+        table += [(i + 0.5) / n for i in range(769, 1280)]
+        table += [max(1280 / n + low, (i + 0.5) / n) for i in range(1280, n)]
+        sample, reference = _table_reference(table)
+        supremum = full_ks(sample, reference)
+        assert 768 / n - table[512] < table[1280] - 1280 / n < supremum == 768 / n - table[767]
+        assert ks_statistic(sample, reference) == supremum
+
+    def test_precomputed_reference_of_the_wrong_shape(self):
+        # A callable that ignores its argument and returns F at every sorted
+        # point, as perfbench's replica passes: the full path answers.
+        n = self.FULL_BELOW + 1
+        e = EmpiricalCdf.from_values(sample_distances(SampleSpec(2, n, seed=9)))
+        ref = exact_density(2).cdf(e.sorted_values)
+        assert ks_statistic(e, lambda _: ref) == full_ks(e, exact_density(2).cdf)
+
+    def test_scalar_only_reference_past_the_threshold(self):
+        e = EmpiricalCdf.from_values(np.linspace(-2, 2, self.FULL_BELOW + 1))
+        self.assert_matches(e, lambda x: 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2))))

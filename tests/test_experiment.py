@@ -62,13 +62,16 @@ class TestExperimentConfig:
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
             (dict(bins=2.5), "bins must be an integer, got 2.5"),
             (dict(dims=5), "dims must be a sequence of integers, got 5"),
+            (dict(dims=(True, 2)), r"dims\[0\] must be an integer, got True"),
+            (dict(bins=True), "bins must be an integer, got True"),
         ],
         ids=["dim-2.7", "dim-2.0", "num_pairs-100.5", "num_pairs-str", "seed-1.5", "bins-2.5",
-             "dims-int"],
+             "dims-int", "dim-bool", "bins-bool"],
     )
     def test_rejects_non_integers(self, kwargs, message):
         # A float dim used to be truncated (2.7 ran dim 2); float counts
-        # passed the range checks and failed later with TypeError.
+        # passed the range checks and failed later with TypeError. A bool
+        # ran as 0 or 1 (dims (True, 2) ran dims 1 and 2).
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kwargs)
 

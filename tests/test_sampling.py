@@ -68,11 +68,14 @@ class TestSampleSpec:
             (dict(dim=2.5, num_pairs=10, seed=1), "dim must be an integer, got 2.5"),
             (dict(dim=2, num_pairs=10.5, seed=1), "num_pairs must be an integer, got 10.5"),
             (dict(dim=2, num_pairs=10, seed="1"), "seed must be an integer, got '1'"),
+            (dict(dim=True, num_pairs=2, seed=1), "dim must be an integer, got True"),
+            (dict(dim=2, num_pairs=10, seed=np.False_), "seed must be an integer, got "),
         ],
-        ids=["dim", "num_pairs", "seed"],
+        ids=["dim", "num_pairs", "seed", "dim-bool", "seed-numpy-bool"],
     )
     def test_rejects_non_integers(self, kwargs, message):
-        # These used to construct, then fail in sample_distances with TypeError.
+        # These used to construct, then fail in sample_distances with TypeError;
+        # a bool used to pass as 0 or 1.
         with pytest.raises(ValueError, match=message):
             SampleSpec(**kwargs)
 
