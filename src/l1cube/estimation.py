@@ -256,8 +256,9 @@ def _ks_terms_max(idx: np.ndarray, ref: np.ndarray, n: int) -> float:
 def _ks_bracketed(xs: np.ndarray, reference_cdf: Callable) -> float | None:
     """KS statistic from F at every block start plus F in the blocks that can win.
 
-    None when F cannot take the coarse points as one array or steps back
-    across them by more than the slack: the caller then evaluates every point.
+    None when F cannot take the coarse points as one array, steps back
+    across them by more than the slack, or leaves blocks holding over half
+    the points to refine: the caller then evaluates every point.
     """
     n = xs.size
     coarse = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
@@ -275,6 +276,9 @@ def _ks_bracketed(xs: np.ndarray, reference_cdf: Callable) -> float | None:
     starts = coarse[:-1][bound + _KS_SLACK >= low]
     if starts.size == 0:
         return low
+    # Past half the points, one contiguous pass costs less than the gather.
+    if 2 * starts.size * _KS_STRIDE > n:
+        return None
     idx = np.minimum((starts[:, None] + np.arange(_KS_STRIDE)).ravel(), n - 1)
     ref = np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
     return max(low, _ks_terms_max(idx, ref, n))

@@ -7,6 +7,12 @@ a fixed size with chunk c drawn from stream_id = c; the output is therefore
 bitwise identical for any worker count. By default the chunks run on every
 CPU the process may use (so `taskset` limits them), and the bytes do not
 depend on how many that is.
+
+Each worker takes chunks from one shared queue and keeps one Philox, which
+it re-keys to (seed, c) at counter 0 for chunk c. A counter-based stream is
+a function of its key and counter alone, so the re-keyed generator yields
+exactly what a fresh `derive_stream(seed, c)` would. The worker's draw and
+difference buffers are reused from chunk to chunk within one call only.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -72,6 +79,14 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _uint64(name: str, value) -> int:
+    """`value` as an int in [0, 2^64), or a ValueError naming `name`."""
+    value = _integer(name, value)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """Full recipe for one Monte Carlo run: dimension, pair count, seed."""
@@ -81,14 +96,13 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("dim", "num_pairs", "seed"):
+        for name in ("dim", "num_pairs"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _uint64("seed", self.seed))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 def derive_stream(seed: int, stream_id: int) -> Generator:
@@ -96,17 +110,17 @@ def derive_stream(seed: int, stream_id: int) -> Generator:
 
     The 128-bit Philox key is (stream_id << 64) | seed: distinct stream ids
     give statistically independent, non-overlapping sequences, and the same
-    pair reproduces the same sequence on every platform. The generator's
+    pair reproduces the same sequence on every platform. Both must be
+    integers in [0, 2^64), so no two pairs share a key. The generator's
     state is mutable; give each concurrent caller its own stream.
     """
-    if stream_id < 0:
-        raise ValueError(f"stream_id must be >= 0, got {stream_id}")
-    key = (seed & _MASK64) | ((stream_id & _MASK64) << 64)
+    key = _uint64("seed", seed) | (_uint64("stream_id", stream_id) << 64)
     return Generator(Philox(key=key))
 
 
 def generate_point(stream: Generator, dim: int) -> Point:
     """Draw one uniform point on [0, 1)^dim, advancing the stream by exactly dim draws."""
+    dim = _integer("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     return Point(stream.random(dim))
@@ -136,23 +150,41 @@ def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray
     # Pairs per draw call, so a call holds at most _BLOCK_DRAWS uniforms
     # (or one pair, if a pair needs more) whatever the dim.
     step = max(1, _BLOCK_DRAWS // (2 * spec.dim))
-
-    def fill_chunk(chunk: int) -> None:
-        gen = derive_stream(spec.seed, chunk)
-        stop = min((chunk + 1) * CHUNK_PAIRS, spec.num_pairs)
-        for lo in range(chunk * CHUNK_PAIRS, stop, step):
-            hi = min(lo + step, stop)
-            # C-order fill: pair j consumes P's coordinates, then Q's, exactly
-            # as sequential generate_point calls would.
-            u = gen.random((hi - lo, 2, spec.dim))
-            out[lo:hi] = span_sum(np.abs(u[:, 0, :] - u[:, 1, :]))
-
     n_chunks = math.ceil(spec.num_pairs / CHUNK_PAIRS)
+    chunks = iter(range(n_chunks))
+    lock = threading.Lock()
+
+    def next_chunk() -> int | None:
+        with lock:
+            return next(chunks, None)
+
+    def run_chunks() -> None:
+        # One Philox and one pair of buffers per worker, reused for every
+        # chunk it takes; none of it outlives this call.
+        bits = Philox(key=spec.seed)
+        fresh = bits.state  # key (seed, 0), counter 0, buffer empty
+        gen = Generator(bits)
+        rows = min(CHUNK_PAIRS, step)
+        draws = np.empty((rows, 2, spec.dim))
+        diff = np.empty((rows, spec.dim))
+        for chunk in iter(next_chunk, None):
+            # The state a fresh derive_stream(spec.seed, chunk) starts from.
+            fresh["state"]["key"][1] = chunk
+            bits.state = fresh
+            stop = min((chunk + 1) * CHUNK_PAIRS, spec.num_pairs)
+            for lo in range(chunk * CHUNK_PAIRS, stop, step):
+                k = min(step, stop - lo)
+                # C-order fill: pair j consumes P's coordinates, then Q's,
+                # exactly as sequential generate_point calls would.
+                u = gen.random(out=draws[:k])
+                d = np.subtract(u[:, 0, :], u[:, 1, :], out=diff[:k])
+                out[lo : lo + k] = span_sum(np.abs(d, out=d))
+
     workers = min(workers, n_chunks)
     if workers == 1:
-        for c in range(n_chunks):
-            fill_chunk(c)
+        run_chunks()
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_chunk, range(n_chunks)))
+            for task in [pool.submit(run_chunks) for _ in range(workers)]:
+                task.result()
     return out

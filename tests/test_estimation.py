@@ -446,6 +446,29 @@ class TestKsBlocks:
             ks_statistic(e, lambda x: sizes.append(x.size) or reference(x))
             assert len(sizes) == 2 and sum(sizes) < n // 4
 
+    @pytest.mark.parametrize("dim, n", [(1, 131_072), (1, 200_000), (5, 131_072)])
+    def test_full_pass_when_most_blocks_can_win(self, dim, n):
+        # Just past the threshold the sample fits its exact reference so well
+        # that blocks holding over half the points could hold the supremum.
+        # One contiguous pass then replaces the gathered second call.
+        e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, n, seed=dim)))
+        for reference in _reference_cdfs(dim):
+            self.assert_matches(e, reference)
+        sizes = []
+        exact = exact_density(dim).cdf
+        ks_statistic(e, lambda x: sizes.append(x.size) or exact(x))
+        assert sizes == [-(-(n - 1) // self.STRIDE) + 1, n]
+
+    @pytest.mark.parametrize("dim", [1, 20])
+    def test_million_points_still_gathered(self, dim):
+        # The full-pass fallback leaves sweep-heavy's rows on the block path.
+        n = 1_000_000
+        e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, n, seed=dim)))
+        for reference in _reference_cdfs(dim):
+            sizes = []
+            ks_statistic(e, lambda x: sizes.append(x.size) or reference(x))
+            assert len(sizes) == 2 and sum(sizes) < n // 4
+
     @pytest.mark.usefixtures("blocks_at_any_size")
     @pytest.mark.parametrize("n", [5000, 300_000])
     @pytest.mark.parametrize(

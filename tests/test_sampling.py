@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,6 +18,7 @@ from l1cube import (
 )
 from l1cube.metric import SUM_SPAN
 from pairwise_reference import span_sum as reference_span_sum
+import sampler_reference
 
 
 class TestDeriveSeed:
@@ -119,6 +122,38 @@ class TestStreams:
     def test_generate_point_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             generate_point(derive_stream(11, 0), 0)
+
+    @pytest.mark.parametrize(
+        "seed, stream_id, message",
+        [
+            # Each used to alias another key: 2**64 wrapped to 0, -1 to 2**64 - 1.
+            (5, 2**64, "stream_id must be an unsigned 64-bit integer, got 18446744073709551616"),
+            (-1, 0, "seed must be an unsigned 64-bit integer, got -1"),
+            (2**64, 0, "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+            (True, 0, "seed must be an integer, got True"),
+            (np.True_, 0, "seed must be an integer, got "),
+            (1.5, 0, "seed must be an integer, got 1.5"),
+            (5, True, "stream_id must be an integer, got True"),
+            (5, np.False_, "stream_id must be an integer, got "),
+            (5, 1.5, "stream_id must be an integer, got 1.5"),
+        ],
+        ids=["stream-id-2**64", "seed-negative", "seed-2**64", "seed-bool", "seed-numpy-bool",
+             "seed-float", "stream-id-bool", "stream-id-numpy-bool", "stream-id-float"],
+    )
+    def test_derive_stream_rejects_keys_outside_uint64(self, seed, stream_id, message):
+        with pytest.raises(ValueError, match=message):
+            derive_stream(seed, stream_id)
+
+    def test_derive_stream_key_range_ends(self):
+        top = 2**64 - 1
+        assert not np.array_equal(derive_stream(top, 0).random(8), derive_stream(0, 0).random(8))
+        stream = derive_stream(np.uint64(top), np.int32(3)).random(8)
+        assert np.array_equal(stream, derive_stream(top, 3).random(8))
+
+    @pytest.mark.parametrize("dim", [True, np.True_, 1.5, "2"], ids=["bool", "numpy-bool", "float", "str"])
+    def test_generate_point_rejects_non_integer_dim(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer, got "):
+            generate_point(derive_stream(11, 0), dim)
 
 
 @pytest.fixture
@@ -226,6 +261,60 @@ class TestSampleDistances:
         # dim 10, one pair per call from dim 33 up) changes no bit.
         monkeypatch.setattr("l1cube.sampling._BLOCK_DRAWS", 64)
         assert np.array_equal(sample_distances(spec), got)
+
+    @pytest.mark.parametrize(
+        "dim, num_pairs",
+        [(1, 3 * CHUNK_PAIRS + 7), (2, 3 * CHUNK_PAIRS + 7), (100, 3 * CHUNK_PAIRS + 7),
+         (2**20 + 1, 3)],
+    )
+    def test_equals_fresh_stream_oracle(self, dim, num_pairs, monkeypatch):
+        # Re-keyed generators and reused buffers give what one fresh stream
+        # per chunk gives, for any worker count and draw-call size. At dim
+        # 2**20 + 1 each pair takes a draw call of its own.
+        spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=2024)
+        expected = sampler_reference.distances(spec)
+        for block_draws in (None, 64):
+            if block_draws:
+                monkeypatch.setattr("l1cube.sampling._BLOCK_DRAWS", block_draws)
+            for workers in (1, 2):
+                got = sample_distances(spec, workers=workers)
+                assert got.tobytes() == expected.tobytes(), (block_draws, workers)
+
+    def test_concurrent_calls_get_their_serial_bytes(self):
+        # Two calls at once, each with its own workers: nothing one call
+        # reuses may leak into the other.
+        specs = [SampleSpec(dim=3, num_pairs=20 * CHUNK_PAIRS + 5, seed=1),
+                 SampleSpec(dim=40, num_pairs=6 * CHUNK_PAIRS + 1, seed=2)]
+        serial = [sample_distances(spec, workers=1) for spec in specs]
+        start = threading.Barrier(len(specs))
+        got = [None] * len(specs)
+
+        def run(i):
+            start.wait(timeout=60)
+            got[i] = sample_distances(specs[i], workers=2)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for g, s in zip(got, serial):
+            assert g is not None and g.tobytes() == s.tobytes()
+
+    def test_shared_chunk_queue_under_frequent_thread_switches(self):
+        # More workers than cores take chunks from one queue while threads
+        # switch every microsecond: a chunk no worker took would leave its
+        # pairs unwritten.
+        spec = SampleSpec(dim=1, num_pairs=300 * CHUNK_PAIRS, seed=8)
+        base = sample_distances(spec, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_distances(spec, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == base.tobytes()
 
     def test_single_pair(self):
         d = sample_distances(SampleSpec(dim=1, num_pairs=1, seed=0))
