@@ -33,6 +33,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .sampling import _integer
+
 __all__ = [
     "EXACT_DENSITY_MAX_DIM", "UnsupportedDimensionError", "theoretical_mean",
     "theoretical_variance", "theoretical_skewness", "theoretical_excess_kurtosis",
@@ -70,32 +72,27 @@ def _elementwise(f, x):
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _check_dim(dim: int) -> None:
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-
-
 def theoretical_mean(dim: int) -> float:
     """Expected distance in `dim` dimensions: dim/3."""
-    _check_dim(dim)
+    dim = _integer("dim", dim, 1)
     return dim / 3.0
 
 
 def theoretical_variance(dim: int) -> float:
     """Variance of the distance in `dim` dimensions: dim/18."""
-    _check_dim(dim)
+    dim = _integer("dim", dim, 1)
     return dim / 18.0
 
 
 def theoretical_skewness(dim: int) -> float:
     """Skewness (2*sqrt(2)/5)/sqrt(dim), from cumulant additivity over i.i.d. summands."""
-    _check_dim(dim)
+    dim = _integer("dim", dim, 1)
     return (2.0 * math.sqrt(2.0) / 5.0) / math.sqrt(dim)
 
 
 def theoretical_excess_kurtosis(dim: int) -> float:
     """Excess kurtosis -3/(5*dim), from cumulant additivity over i.i.d. summands."""
-    _check_dim(dim)
+    dim = _integer("dim", dim, 1)
     return -3.0 / (5.0 * dim)
 
 
@@ -271,13 +268,12 @@ def exact_density(dim: int) -> PiecewisePolynomial:
 
     Raises UnsupportedDimensionError above EXACT_DENSITY_MAX_DIM.
     """
-    _check_dim(dim)
+    dim = _integer("dim", dim, 1)
     if dim > EXACT_DENSITY_MAX_DIM:
         raise UnsupportedDimensionError(
             f"exact density supports dim <= {EXACT_DENSITY_MAX_DIM}, got {dim}; "
             "use the normal approximation instead"
         )
-    dim = int(dim)
     if dim not in _density_cache:
         # Threads racing here may each build, but setdefault keeps the first.
         _density_cache.setdefault(dim, _closed_form_density(dim))

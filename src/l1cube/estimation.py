@@ -34,12 +34,9 @@ def ks_critical_value(n: int, significance: float) -> float:
     # from Q(lam) = 2 * sum_k (-1)^(k-1) exp(-2 k^2 lam^2).
     try:
         coeff = {0.05: 1.358, 0.01: 1.628}[significance]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable level, such as a list
         raise ValueError(f"unsupported significance {significance}; use 0.05 or 0.01")
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return coeff / math.sqrt(n)
+    return coeff / math.sqrt(_integer("n", n, 1))
 
 
 @dataclass(frozen=True)
@@ -172,10 +169,7 @@ def build_histogram(
     x = np.asarray(distances, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("cannot build a histogram from an empty sample")
-    bins = _integer("bins", bins)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    counts, edges = np.histogram(x, bins=bins)
+    counts, edges = np.histogram(x, bins=_integer("bins", bins, 1))
     return Histogram(edges, counts, density_mode)
 
 

@@ -25,7 +25,7 @@ from .estimation import (
     ks_statistic,
     summarize,
 )
-from .sampling import SampleSpec, _integer, derive_seed, sample_distances
+from .sampling import SampleSpec, _integer, _uint64, derive_seed, sample_distances
 
 __all__ = [
     "DEFAULT_DIMS", "DEFAULT_NUM_PAIRS", "ExperimentConfig", "DimensionReport",
@@ -50,26 +50,18 @@ class ExperimentConfig:
     emit_gof: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("num_pairs", "seed", "bins"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "num_pairs", _integer("num_pairs", self.num_pairs, 2))
+        object.__setattr__(self, "seed", _uint64("seed", self.seed))
+        object.__setattr__(self, "bins", _integer("bins", self.bins, 1))
         try:
-            dims = tuple(_integer(f"dims[{i}]", d) for i, d in enumerate(self.dims))
+            dims = tuple(_integer(f"dims[{i}]", d, 1) for i, d in enumerate(self.dims))
         except TypeError:
             raise ValueError(f"dims must be a sequence of integers, got {self.dims!r}") from None
         if not dims:
             raise ValueError("dims must be nonempty")
-        bad = [d for d in dims if d < 1]
-        if bad:
-            raise ValueError(f"dims must be positive, got {bad[0]}")
         repeated = [d for i, d in enumerate(dims) if d in dims[:i]]
         if repeated:
             raise ValueError(f"dims must be distinct, got {repeated[0]} more than once")
-        if self.num_pairs < 2:
-            raise ValueError(f"num_pairs must be >= 2, got {self.num_pairs}")
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         object.__setattr__(self, "dims", dims)
         for name in ("emit_histograms", "emit_gof"):
             value = getattr(self, name)
@@ -143,7 +135,9 @@ def _run_dim(config: ExperimentConfig, dim: int) -> DimensionReport:
     ks_exact = ks_normal = crit05 = crit01 = None
     backend = None
     if config.emit_gof:
-        ecdf = EmpiricalCdf.from_values(distances)
+        # Summary and histogram have read the sample; sort it where it lies.
+        distances.sort()
+        ecdf = EmpiricalCdf(distances)
         approx = NormalApprox.for_dim(dim)
         ks_normal = ks_statistic(ecdf, lambda x: normal_cdf(approx, x))
         backend = "exact" if dim <= EXACT_DENSITY_MAX_DIM else "normal_only"

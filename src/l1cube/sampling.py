@@ -66,17 +66,21 @@ def derive_seed(seed: int, key: int) -> int:
     return _splitmix64((seed ^ _splitmix64(key & _MASK64)) & _MASK64)
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, least: int | None = None) -> int:
     """`value` as an int (numpy integers included), or a ValueError naming `name`.
 
     A bool is rejected too: where a count is meant, True is a caller's mistake.
+    With `least`, a value below it is rejected as well.
     """
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _uint64(name: str, value) -> int:
@@ -97,12 +101,8 @@ class SampleSpec:
 
     def __post_init__(self) -> None:
         for name in ("dim", "num_pairs"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", _uint64("seed", self.seed))
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.num_pairs < 1:
-            raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
 
 
 def derive_stream(seed: int, stream_id: int) -> Generator:
@@ -120,10 +120,7 @@ def derive_stream(seed: int, stream_id: int) -> Generator:
 
 def generate_point(stream: Generator, dim: int) -> Point:
     """Draw one uniform point on [0, 1)^dim, advancing the stream by exactly dim draws."""
-    dim = _integer("dim", dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return Point(stream.random(dim))
+    return Point(stream.random(_integer("dim", dim, 1)))
 
 
 def _usable_cpus() -> int:
@@ -142,10 +139,7 @@ def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray
     defaults to the number of usable CPUs; the pool never exceeds the chunk
     count, and a single worker runs the chunks in this thread.
     """
-    if workers is None:
-        workers = _usable_cpus()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _usable_cpus() if workers is None else _integer("workers", workers, 1)
     out = np.empty(spec.num_pairs)
     # Pairs per draw call, so a call holds at most _BLOCK_DRAWS uniforms
     # (or one pair, if a pair needs more) whatever the dim.

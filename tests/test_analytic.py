@@ -55,9 +55,17 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, "7", True])
     def test_rejects_non_positive_int(self, bad):
-        for fn in (theoretical_mean, theoretical_variance, theoretical_skewness):
-            with pytest.raises(ValueError):
+        if type(bad) is int:
+            message = f"dim must be >= 1, got {bad}"
+        else:
+            message = f"dim must be an integer, got {bad!r}"
+        for fn in (
+            theoretical_mean, theoretical_variance, theoretical_skewness,
+            theoretical_excess_kurtosis, exact_density,
+        ):
+            with pytest.raises(ValueError) as info:
                 fn(bad)
+            assert str(info.value) == message, fn.__name__
 
     def test_accepts_numpy_integers(self):
         assert theoretical_mean(np.int64(6)) == 2.0

@@ -67,6 +67,14 @@ class TestUsageErrorExitCodes:
         assert err.startswith("l1cube: error: --dims:")
         assert "0" in err  # diagnostic names the offending dimension
 
+    def test_non_positive_dimension_named_by_index(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code, outs, err = run_cli(["--dims", "0,2", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "l1cube: error: --dims: dims[0] must be >= 1, got 0\n"
+        assert outs == ""
+        assert not out.exists()
+
     def test_invalid_pairs_value(self, tmp_path, capsys):
         code, _, err = run_cli(["--pairs", "-5", "--out", str(tmp_path)], capsys)
         assert code == 2

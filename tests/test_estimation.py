@@ -34,6 +34,10 @@ class TestKsCriticalValue:
     def test_rejects_other_levels(self):
         with pytest.raises(ValueError, match="significance"):
             ks_critical_value(100, 0.10)
+        # Unhashable levels used to leak a TypeError from the table lookup.
+        for level in ([0.05], np.array([0.05])):
+            with pytest.raises(ValueError, match="unsupported significance"):
+                ks_critical_value(10, level)
 
     @pytest.mark.parametrize(
         "n, message",

@@ -217,6 +217,17 @@ class TestSampleDistances:
             sample_distances(spec, workers=workers)
         assert pool_sizes == []
 
+    @pytest.mark.parametrize(
+        "workers",
+        [2.5, True, np.True_, "2", 1.0],
+        ids=["float", "bool", "numpy-bool", "str", "whole-float"],
+    )
+    def test_rejects_non_integer_worker_count(self, workers, pool_sizes):
+        spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
+        with pytest.raises(ValueError, match="workers must be an integer, got "):
+            sample_distances(spec, workers=workers)
+        assert pool_sizes == []
+
     def test_pool_capped_at_chunk_count(self, pool_sizes):
         one_chunk = SampleSpec(dim=3, num_pairs=CHUNK_PAIRS, seed=13)
         base = sample_distances(one_chunk, workers=1)
