@@ -1,9 +1,10 @@
 """Serialization of experiment reports: JSON, CSV tables, plot-ready grids.
 
-CSV fields are written with 17 significant digits and JSON floats in their
-shortest exact form, so every float round-trips exactly; formatting is
-locale-independent and newline use is fixed, so identical reports serialize
-to identical bytes on any platform.
+Every CSV cell is a float in `%.17g` form or a plain token (an int, a backend
+name, or empty), written as whole lines through one row template; no cell is
+ever quoted. JSON floats take their shortest exact form. So every float
+round-trips exactly, and identical reports serialize to identical bytes on any
+platform; golden tests pin the table, the JSON report and the figure files.
 
 A report itself is identical for an identical config because its samples
 come from Philox substreams, which are the same on every platform, and
@@ -15,7 +16,6 @@ is unchanged; `tests/pairwise_reference.py` models it.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -41,11 +41,13 @@ OVERLAY_GRID_POINTS = 512
 # declaration order, less the histogram, which only the JSON report carries.
 TABLE_COLUMNS = tuple(f.name for f in fields(DimensionReport) if f.name != "histogram")
 FORMATS = ("csv", "json", "both")
+# The one float spelling of every CSV cell: 17 significant digits, no grouping.
+_FLOAT = "%.17g"
 
 
 def format_float(x: float) -> str:
-    """Round-trippable decimal form: 17 significant digits, no grouping."""
-    return f"{float(x):.17g}"
+    """Round-trippable decimal form of `x`."""
+    return _FLOAT % x
 
 
 def _cell(value) -> str:
@@ -86,18 +88,22 @@ def write_report_json(report: ExperimentReport, path) -> Path:
 # CSV table
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header, rows) -> Path:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path: Path, header, lines) -> Path:
+    """The header row, then `lines` (each ending in a newline), in one write."""
+    path.write_text(",".join(header) + "\n" + "".join(lines), encoding="utf-8", newline="")
     return path
+
+
+def _float_lines(*columns):
+    """One line per row of the equal-length float arrays `columns`, via one row template."""
+    template = ",".join([_FLOAT] * len(columns)) + "\n"
+    return map(template.__mod__, zip(*(c.tolist() for c in columns)))
 
 
 def write_table_csv(report: ExperimentReport, path) -> Path:
     """One CSV row per dimension, in sweep order."""
-    rows = [[_cell(getattr(row, col)) for col in TABLE_COLUMNS] for row in report.rows]
-    return _write_csv(Path(path), TABLE_COLUMNS, rows)
+    lines = (",".join(_cell(getattr(r, col)) for col in TABLE_COLUMNS) + "\n" for r in report.rows)
+    return _write_csv(Path(path), TABLE_COLUMNS, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +129,8 @@ def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
     for row in report.rows:
         hist = row.histogram
         hist_path = out_dir / f"hist_n{row.dim}.csv"
-        _write_csv(
-            hist_path,
-            ("bin_left", "bin_right", "density"),
-            [
-                [format_float(l), format_float(r), format_float(h)]
-                for l, r, h in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.heights)
-            ],
-        )
+        columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.heights)
+        _write_csv(hist_path, ("bin_left", "bin_right", "density"), _float_lines(*columns))
         paths.append(hist_path)
 
         xs = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], OVERLAY_GRID_POINTS)
@@ -139,11 +139,7 @@ def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
             overlay["exact_pdf"] = exact_density(row.dim).pdf(xs)
         overlay["normal_pdf"] = normal_pdf(NormalApprox.for_dim(row.dim), xs)
         overlay_path = out_dir / f"overlay_n{row.dim}.csv"
-        _write_csv(
-            overlay_path,
-            overlay,
-            [[format_float(v) for v in values] for values in zip(*overlay.values())],
-        )
+        _write_csv(overlay_path, overlay, _float_lines(*overlay.values()))
         paths.append(overlay_path)
     return paths
 

@@ -61,9 +61,10 @@ def derive_seed(seed: int, key: int) -> int:
 
     Used to give each experiment dimension its own seed keyed by the
     dimension value, so adding or reordering dimensions never changes
-    another row's samples.
+    another row's samples. `seed` must be in [0, 2^64); `key` is a label,
+    masked to 64 bits.
     """
-    return _splitmix64((seed ^ _splitmix64(key & _MASK64)) & _MASK64)
+    return _splitmix64(_uint64("seed", seed) ^ _splitmix64(key & _MASK64))
 
 
 def _integer(name: str, value, least: int | None = None) -> int:

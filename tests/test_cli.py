@@ -265,11 +265,12 @@ class TestEndToEnd:
         )
 
     def test_gof_histograms_golden_json_and_stdout(self, tmp_path, capsys):
-        # Pins the bytes of report.json and of the stdout table for a run
-        # with every optional column, including one normal-only row and the
-        # histograms. The digests were computed before report rows were
-        # derived from the dataclass fields, so a reordered or renamed field
-        # shows up here. The output directory is masked in stdout.
+        # Pins the bytes of report.json, of the stdout table and of the
+        # figure files for a run with every optional column, including one
+        # normal-only row and the histograms. The digests were computed
+        # before report rows were derived from the dataclass fields, so a
+        # reordered or renamed field shows up here. The output directory is
+        # masked in stdout.
         code, out, _ = run_cli(
             [
                 "--dims", "1,2,50", "--pairs", "2000", "--seed", "7",
@@ -286,6 +287,18 @@ class TestEndToEnd:
         assert hashlib.sha256(stdout).hexdigest() == (
             "0a4088207cfade68d171eaf793598991d67912aecb5a41bc5781dd280a4f7b35"
         )
+        # The figure files; dim 50's overlay has no exact column. A changed
+        # float spelling or a quoted cell moves these digests.
+        figure_digests = {
+            "hist_n1.csv": "c61adbe86605f5ba39552bbbe4cef1db8ab3ecc95fb1a076db05e4f5f1ae33b1",
+            "hist_n2.csv": "1db678bbcb719fac9cd74bea48f902ae85573167beb614efff5a3d5565a595e8",
+            "hist_n50.csv": "8877b9a303c0d2dfb1ef8c45ee4c2a43db03b2642b51fa20c68a429561e0c358",
+            "overlay_n1.csv": "7d5bd19f842038f6f17d641f95a8a87e04ec050b9f0a537420d01cca3aa7d3a9",
+            "overlay_n2.csv": "2fe1f47b990ee5c7d6a4d58e48c26e44aea2e7f559fd2029cea8e29ab762934a",
+            "overlay_n50.csv": "b5c026a7cc26e2af15bbe7d2bb293dfe9fef3fecaa075931128a495c0fae69be",
+        }
+        for name, digest in figure_digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_csv_only_format(self, tmp_path, capsys):
         code, _, _ = run_cli(

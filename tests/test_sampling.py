@@ -44,6 +44,21 @@ class TestDeriveSeed:
         assert derive_seed(1, 0) == 627405149472732430
         assert derive_seed(12345, 100) == 13466883139077322134
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # Unchecked, -1 would alias 2**64 - 1 and True would alias 1.
+            (-1, "seed must be an unsigned 64-bit integer, got -1"),
+            (2**64, "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+            (True, "seed must be an integer, got True"),
+            (2.5, "seed must be an integer, got 2.5"),
+        ],
+        ids=["negative", "2**64", "bool", "float"],
+    )
+    def test_derive_seed_rejects_seeds_outside_uint64(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            derive_seed(seed, 5)
+
 
 class TestSampleSpec:
     def test_fields(self):
@@ -255,14 +270,17 @@ class TestSampleDistances:
 
     @pytest.mark.parametrize(
         "dim, num_pairs",
-        [(10, CHUNK_PAIRS), (20, CHUNK_PAIRS), (50, CHUNK_PAIRS), (100, CHUNK_PAIRS),
+        [(1, CHUNK_PAIRS), (2, CHUNK_PAIRS), (3, CHUNK_PAIRS), (5, CHUNK_PAIRS),
+         (7, CHUNK_PAIRS), (8, CHUNK_PAIRS), (9, CHUNK_PAIRS),
+         (10, CHUNK_PAIRS), (20, CHUNK_PAIRS), (50, CHUNK_PAIRS), (100, CHUNK_PAIRS),
          (2 * SUM_SPAN + 5, 4)],
     )
     def test_kernel_summation_order(self, dim, num_pairs, monkeypatch):
         # Each pair's coordinates are added in the stated order: numpy's
         # pairwise kernel within 8192-coordinate spans, spans left to right.
-        # The pure-Python reference pins that order bit for bit. One chunk
-        # (stream 0) covers every case here.
+        # The pure-Python reference pins that order bit for bit. Dims 1-9
+        # are the default sweep's small dims and the edges of numpy's
+        # 8-lane unrolled block. One chunk (stream 0) covers every case here.
         spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=42)
         u = derive_stream(42, 0).random((num_pairs, 2, dim))
         got = sample_distances(spec)
