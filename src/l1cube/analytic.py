@@ -185,14 +185,8 @@ class PiecewisePolynomial:
         res[edges[-1]:] = np.nan
         for k, row in enumerate(coeff_mat):
             lo, hi = edges[k], edges[k + 1]
-            if lo == hi:
-                continue
-            t = xv[lo:hi] - k
-            run = res[lo:hi]
-            run.fill(row[-1])
-            for c in row[-2::-1]:  # Horner with scalar coefficients
-                run *= t
-                run += c
+            if lo < hi:
+                res[lo:hi] = _polevl(xv[lo:hi] - k, row[::-1])
         if order is not None:
             unsorted = np.empty_like(res)
             unsorted[order] = res
@@ -363,7 +357,7 @@ _SQRT1_2 = 0.70710678118654752440
 _NDTR_BLOCK = 1 << 14
 
 
-def _polevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+def _polevl(x: np.ndarray, coeffs: tuple[float, ...] | np.ndarray) -> np.ndarray:
     """Horner's rule as Cephes runs it: multiply, then add, highest power first."""
     out = np.full_like(x, coeffs[0])
     for c in coeffs[1:]:

@@ -2,7 +2,9 @@
 
 Usage is `l1cube [options]`: run the sweep, print a per-dimension summary
 table, and write report files. Options may also come from a config file of
-`key = value` lines; explicit command-line flags win over the file.
+`key = value` lines; explicit command-line flags win over the file. The
+table's columns and widths are named in `output`, next to `TABLE_COLUMNS`;
+this module names none.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
@@ -22,10 +24,9 @@ from .experiment import (
     DEFAULT_NUM_PAIRS,
     DEFAULT_SEED,
     ExperimentConfig,
-    ExperimentReport,
     run_experiment,
 )
-from .output import FORMATS, TABLE_COLUMNS, write_bundle
+from .output import FORMATS, print_table, write_bundle
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -169,33 +170,6 @@ def _prepare_out_dir(out) -> Path:
     if not os.access(path, os.W_OK):
         raise OSError(f"output directory {str(out)!r} is not writable")
     return path
-
-
-def _format_cell(value, width: int) -> str:
-    if value is None:
-        return "-".rjust(width)
-    if isinstance(value, int):
-        return str(value).rjust(width)
-    return f"{value:.4f}".rjust(width)
-
-
-# Widths of the stdout table's first 10 TABLE_COLUMNS; zip drops the other
-# two (ks_crit_001, gof_backend), which only the files carry. The last three
-# widths are GOF columns, shown only when GOF ran.
-_PRINT_WIDTHS = (4, 14, 16, 18, 20, 11, 11, 9, 9, 11)
-
-
-def print_table(report: ExperimentReport, stream) -> None:
-    widths = _PRINT_WIDTHS if report.config.emit_gof else _PRINT_WIDTHS[:-3]
-    columns = list(zip(TABLE_COLUMNS, widths))
-    print("  ".join(name.rjust(width) for name, width in columns), file=stream)
-    for row in report.rows:
-        print(
-            "  ".join(
-                _format_cell(getattr(row, name), width) for name, width in columns
-            ),
-            file=stream,
-        )
 
 
 def main(argv=None) -> int:

@@ -175,7 +175,7 @@ def build_histogram(
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCdf:
-    """Step CDF of a sample: F(x) = #(values <= x) / N."""
+    """A sorted sample, the step CDF F(x) = #(values <= x) / N that `ks_statistic` takes."""
 
     sorted_values: np.ndarray
 
@@ -191,20 +191,6 @@ class EmpiricalCdf:
     @classmethod
     def from_values(cls, values) -> "EmpiricalCdf":
         return cls(np.sort(np.asarray(values, dtype=np.float64).ravel()))
-
-    @property
-    def n(self) -> int:
-        return int(self.sorted_values.size)
-
-    def evaluate(self, x):
-        xa = np.asarray(x, dtype=np.float64)
-        out = np.searchsorted(self.sorted_values, xa, side="right") / self.n
-        return float(out) if xa.ndim == 0 else out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmpiricalCdf):
-            return NotImplemented
-        return np.array_equal(self.sorted_values, other.sorted_values)
 
 
 def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:

@@ -59,9 +59,11 @@ class ExperimentConfig:
             raise ValueError(f"dims must be a sequence of integers, got {self.dims!r}") from None
         if not dims:
             raise ValueError("dims must be nonempty")
-        repeated = [d for i, d in enumerate(dims) if d in dims[:i]]
-        if repeated:
-            raise ValueError(f"dims must be distinct, got {repeated[0]} more than once")
+        seen = set()
+        for d in dims:
+            if d in seen:
+                raise ValueError(f"dims must be distinct, got {d} more than once")
+            seen.add(d)
         object.__setattr__(self, "dims", dims)
         for name in ("emit_histograms", "emit_gof"):
             value = getattr(self, name)

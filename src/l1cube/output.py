@@ -5,6 +5,8 @@ name, or empty), written as whole lines through one row template; no cell is
 ever quoted. JSON floats take their shortest exact form. So every float
 round-trips exactly, and identical reports serialize to identical bytes on any
 platform; golden tests pin the table, the JSON report and the figure files.
+`table.csv` and the printed table share one renderer; the printed table's
+columns and widths are named in `_PRINT_WIDTHS`, next to `TABLE_COLUMNS`.
 
 A report itself is identical for an identical config because its samples
 come from Philox substreams, which are the same on every platform, and
@@ -40,6 +42,11 @@ OVERLAY_GRID_POINTS = 512
 # One row schema: the CSV and stdout columns are DimensionReport's fields in
 # declaration order, less the histogram, which only the JSON report carries.
 TABLE_COLUMNS = tuple(f.name for f in fields(DimensionReport) if f.name != "histogram")
+# The stdout table's columns and widths, by name. The ks_* columns are shown
+# only when GOF ran; ks_crit_001 and gof_backend are in the files only.
+_PRINT_WIDTHS = {"dim": 4, "empirical_mean": 14, "theoretical_mean": 16, "empirical_variance": 18,
+                 "theoretical_variance": 20, "mean_dev_se": 11, "var_dev_rel": 11,
+                 "ks_exact": 9, "ks_normal": 9, "ks_crit_005": 11}
 FORMATS = ("csv", "json", "both")
 # The one float spelling of every CSV cell: 17 significant digits, no grouping.
 _FLOAT = "%.17g"
@@ -56,6 +63,11 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     return str(value)
+
+
+def _write_csv(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -85,30 +97,48 @@ def write_report_json(report: ExperimentReport, path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# CSV table
+# Per-dimension table: table.csv and stdout
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header, lines) -> Path:
-    """The header row, then `lines` (each ending in a newline), in one write."""
-    path.write_text(",".join(header) + "\n" + "".join(lines), encoding="utf-8", newline="")
-    return path
+def _print_cell(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.4f}"
 
 
-def _float_lines(*columns):
-    """One line per row of the equal-length float arrays `columns`, via one row template."""
-    template = ",".join([_FLOAT] * len(columns)) + "\n"
-    return map(template.__mod__, zip(*(c.tolist() for c in columns)))
+def _render_table(report: ExperimentReport, widths: dict[str, int], cell, sep: str) -> str:
+    """The header, then one line per row; each cell right-aligned to its column's width."""
+    lines = [sep.join(name.rjust(w) for name, w in widths.items())]
+    lines += (sep.join(cell(getattr(r, name)).rjust(w) for name, w in widths.items())
+              for r in report.rows)
+    return "\n".join(lines) + "\n"
 
 
 def write_table_csv(report: ExperimentReport, path) -> Path:
     """One CSV row per dimension, in sweep order."""
-    lines = (",".join(_cell(getattr(r, col)) for col in TABLE_COLUMNS) + "\n" for r in report.rows)
-    return _write_csv(Path(path), TABLE_COLUMNS, lines)
+    table = _render_table(report, dict.fromkeys(TABLE_COLUMNS, 0), _cell, ",")
+    return _write_csv(Path(path), table)
+
+
+def print_table(report: ExperimentReport, stream) -> None:
+    """The stdout table: 4-decimal cells, `-` where a row has no value."""
+    gof = report.config.emit_gof
+    widths = {name: w for name, w in _PRINT_WIDTHS.items() if gof or not name.startswith("ks_")}
+    stream.write(_render_table(report, widths, _print_cell, "  "))
 
 
 # ---------------------------------------------------------------------------
 # Figure data (histogram + density overlays)
 # ---------------------------------------------------------------------------
+
+def _float_csv(header, *columns) -> str:
+    """The header, then one line per row of the equal-length float arrays `columns`."""
+    template = ",".join([_FLOAT] * len(columns)) + "\n"
+    rows = map(template.__mod__, zip(*(c.tolist() for c in columns)))
+    return ",".join(header) + "\n" + "".join(rows)
+
 
 def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
     """Write per-dimension histogram and density-overlay CSV grids.
@@ -130,7 +160,7 @@ def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
         hist = row.histogram
         hist_path = out_dir / f"hist_n{row.dim}.csv"
         columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.heights)
-        _write_csv(hist_path, ("bin_left", "bin_right", "density"), _float_lines(*columns))
+        _write_csv(hist_path, _float_csv(("bin_left", "bin_right", "density"), *columns))
         paths.append(hist_path)
 
         xs = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], OVERLAY_GRID_POINTS)
@@ -139,7 +169,7 @@ def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
             overlay["exact_pdf"] = exact_density(row.dim).pdf(xs)
         overlay["normal_pdf"] = normal_pdf(NormalApprox.for_dim(row.dim), xs)
         overlay_path = out_dir / f"overlay_n{row.dim}.csv"
-        _write_csv(overlay_path, overlay, _float_lines(*overlay.values()))
+        _write_csv(overlay_path, _float_csv(overlay, *overlay.values()))
         paths.append(overlay_path)
     return paths
 

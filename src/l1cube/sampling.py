@@ -29,11 +29,10 @@ import numpy as np
 # in the import of this package rather than in the first sample drawn.
 from numpy.random import Generator, Philox
 
-from .metric import Point, span_sum
+from .metric import span_sum
 
 __all__ = [
-    "CHUNK_PAIRS", "SampleSpec", "derive_seed", "derive_stream", "generate_point",
-    "sample_distances",
+    "CHUNK_PAIRS", "SampleSpec", "derive_seed", "derive_stream", "sample_distances",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -61,10 +60,10 @@ def derive_seed(seed: int, key: int) -> int:
 
     Used to give each experiment dimension its own seed keyed by the
     dimension value, so adding or reordering dimensions never changes
-    another row's samples. `seed` must be in [0, 2^64); `key` is a label,
-    masked to 64 bits.
+    another row's samples. `seed` must be in [0, 2^64); `key` is an integer
+    label, masked to 64 bits.
     """
-    return _splitmix64(_uint64("seed", seed) ^ _splitmix64(key & _MASK64))
+    return _splitmix64(_uint64("seed", seed) ^ _splitmix64(_integer("key", key) & _MASK64))
 
 
 def _integer(name: str, value, least: int | None = None) -> int:
@@ -119,11 +118,6 @@ def derive_stream(seed: int, stream_id: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-def generate_point(stream: Generator, dim: int) -> Point:
-    """Draw one uniform point on [0, 1)^dim, advancing the stream by exactly dim draws."""
-    return Point(stream.random(_integer("dim", dim, 1)))
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one."""
     if hasattr(os, "sched_getaffinity"):
@@ -169,8 +163,7 @@ def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray
             stop = min((chunk + 1) * CHUNK_PAIRS, spec.num_pairs)
             for lo in range(chunk * CHUNK_PAIRS, stop, step):
                 k = min(step, stop - lo)
-                # C-order fill: pair j consumes P's coordinates, then Q's,
-                # exactly as sequential generate_point calls would.
+                # C-order fill: pair j consumes P's coordinates, then Q's.
                 u = gen.random(out=draws[:k])
                 d = np.subtract(u[:, 0, :], u[:, 1, :], out=diff[:k])
                 out[lo : lo + k] = span_sum(np.abs(d, out=d))

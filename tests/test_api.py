@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "dump_report_json",
     "emit_figure_data",
     "exact_density",
-    "generate_point",
     "ks_critical_value",
     "ks_statistic",
     "manhattan_distance",

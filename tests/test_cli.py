@@ -263,6 +263,12 @@ class TestEndToEnd:
         assert digest == (
             "6e5b8d41a3741ed9cb2b2d408273b691e7b5b4745b91253e73e122b9dd259265"
         )
+        # The stdout table without the GOF columns; the output directory is
+        # masked as in the GOF golden below.
+        stdout = out.replace(str(tmp_path), "OUT").encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "d6087d4b84ee50c6c2f0f7ed54c37b231acd6cc7c92f5a55e346ee3b6edf42e8"
+        )
 
     def test_gof_histograms_golden_json_and_stdout(self, tmp_path, capsys):
         # Pins the bytes of report.json, of the stdout table and of the

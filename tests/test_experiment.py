@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,14 @@ class TestExperimentConfig:
         # Repeated dims would repeat a row and overwrite its figure files.
         with pytest.raises(ValueError, match="5 more than once"):
             ExperimentConfig(dims=(2, 5, 3, 5))
+
+    def test_distinct_dims_validate_in_linear_time(self):
+        # The duplicate check once compared each dim with every earlier one:
+        # 7.7 s at 30,000 dims. A seen-set scan takes milliseconds.
+        dims = tuple(range(1, 30_001))
+        start = time.perf_counter()
+        assert ExperimentConfig(dims=dims).dims == dims
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCompareToTheory:

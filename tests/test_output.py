@@ -7,11 +7,13 @@ import pytest
 
 from l1cube import ExperimentConfig, exact_density, run_experiment
 from l1cube.output import (
+    _PRINT_WIDTHS,
     OVERLAY_GRID_POINTS,
     TABLE_COLUMNS,
     dump_report_json,
     emit_figure_data,
     format_float,
+    print_table,
     write_bundle,
     write_report_json,
     write_table_csv,
@@ -125,6 +127,18 @@ class TestCsvTable:
         path = write_table_csv(full_report, tmp_path / "table.csv")
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+
+class TestPrintTable:
+    def test_printed_columns_follow_the_schema(self):
+        # Every printed column is a schema column, in the schema's order.
+        assert list(_PRINT_WIDTHS) == [c for c in TABLE_COLUMNS if c in _PRINT_WIDTHS]
+        assert "ks_crit_001" not in _PRINT_WIDTHS and "gof_backend" not in _PRINT_WIDTHS
+
+    def test_cli_imports_the_same_function(self):
+        from l1cube.cli import print_table as cli_print_table
+
+        assert cli_print_table is print_table
 
 
 class TestFigureData:

@@ -12,7 +12,6 @@ from l1cube import (
     SampleSpec,
     derive_seed,
     derive_stream,
-    generate_point,
     manhattan_distance,
     sample_distances,
 )
@@ -58,6 +57,20 @@ class TestDeriveSeed:
     def test_derive_seed_rejects_seeds_outside_uint64(self, seed, message):
         with pytest.raises(ValueError, match=message):
             derive_seed(seed, 5)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            # Unchecked, 2.5 leaked a TypeError and True aliased 1.
+            (2.5, "key must be an integer, got 2.5"),
+            (True, "key must be an integer, got True"),
+            (np.True_, "key must be an integer, got "),
+        ],
+        ids=["float", "bool", "numpy-bool"],
+    )
+    def test_derive_seed_rejects_non_integer_keys(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            derive_seed(5, key)
 
 
 class TestSampleSpec:
@@ -120,24 +133,6 @@ class TestStreams:
         with pytest.raises(ValueError, match="stream_id"):
             derive_stream(7, -1)
 
-    def test_generate_point_shape_and_range(self):
-        stream = derive_stream(11, 0)
-        p = generate_point(stream, 6)
-        assert isinstance(p, Point)
-        assert p.dim == 6
-        assert np.all((p.coords >= 0.0) & (p.coords < 1.0))
-
-    def test_generate_point_consumes_exactly_dim_draws(self):
-        seq = derive_stream(11, 0)
-        p = generate_point(seq, 4)
-        q = generate_point(seq, 4)
-        flat = derive_stream(11, 0).random(8)
-        assert np.array_equal(np.concatenate([p.coords, q.coords]), flat)
-
-    def test_generate_point_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            generate_point(derive_stream(11, 0), 0)
-
     @pytest.mark.parametrize(
         "seed, stream_id, message",
         [
@@ -164,11 +159,6 @@ class TestStreams:
         assert not np.array_equal(derive_stream(top, 0).random(8), derive_stream(0, 0).random(8))
         stream = derive_stream(np.uint64(top), np.int32(3)).random(8)
         assert np.array_equal(stream, derive_stream(top, 3).random(8))
-
-    @pytest.mark.parametrize("dim", [True, np.True_, 1.5, "2"], ids=["bool", "numpy-bool", "float", "str"])
-    def test_generate_point_rejects_non_integer_dim(self, dim):
-        with pytest.raises(ValueError, match="dim must be an integer, got "):
-            generate_point(derive_stream(11, 0), dim)
 
 
 @pytest.fixture
@@ -203,8 +193,8 @@ class TestSampleDistances:
         stream = derive_stream(77, 0)
         expected = []
         for _ in range(5):
-            p = generate_point(stream, 3)
-            q = generate_point(stream, 3)
+            p = Point(stream.random(3))
+            q = Point(stream.random(3))
             expected.append(manhattan_distance(p, q))
         assert np.array_equal(sample_distances(spec), expected)
 
