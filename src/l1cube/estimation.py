@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .metric import span_sum
-from .sampling import _integer
+from .sampling import _boolean, _integer
 
 __all__ = [
     "ks_critical_value", "MomentSummary", "summarize", "Histogram", "build_histogram",
@@ -130,6 +130,7 @@ class Histogram:
         counts.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "density_mode", _boolean("density_mode", self.density_mode))
 
     @property
     def widths(self) -> np.ndarray:
@@ -213,16 +214,35 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
     if n == 0:
         raise ValueError("KS statistic of an empty sample is undefined")
     if n >= _KS_FULL_BELOW:
-        d = _ks_bracketed(xs, reference_cdf)
-        if d is not None:
-            return d
-    try:
-        ref = np.asarray(reference_cdf(xs), dtype=np.float64)
-        if ref.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
+        coarse = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+        f = _cdf_at(xs[coarse], reference_cdf)
+        # No arrays, a step back beyond the slack, or NaN: every point is evaluated.
+        if f is not None and np.all(f[1:] >= f[:-1] - _KS_SLACK):
+            low = _ks_terms_max(coarse, f, n)
+            # Block j holds sorted indices coarse[j] .. coarse[j + 1] - 1. As F is
+            # nondecreasing, F(x_(coarse[j])) <= F there <= F(x_(coarse[j + 1])).
+            bound = np.maximum(coarse[1:] / n - f[:-1], f[1:] - coarse[:-1] / n)
+            starts = coarse[:-1][bound + _KS_SLACK >= low]
+            if starts.size == 0:
+                return low
+            # Past half the points, one contiguous pass costs less than the gather.
+            if 2 * starts.size * _KS_STRIDE <= n:
+                idx = np.minimum((starts[:, None] + np.arange(_KS_STRIDE)).ravel(), n - 1)
+                ref = np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
+                return max(low, _ks_terms_max(idx, ref, n))
+    ref = _cdf_at(xs, reference_cdf)
+    if ref is None:
         ref = np.array([float(reference_cdf(v)) for v in xs])
     return _ks_terms_max(np.arange(n), ref, n)
+
+
+def _cdf_at(points: np.ndarray, reference_cdf: Callable) -> np.ndarray | None:
+    """F at `points` as one array of their shape, or None if F cannot take them so."""
+    try:
+        f = np.asarray(reference_cdf(points), dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    return f if f.shape == points.shape else None
 
 
 def _ks_terms_max(idx: np.ndarray, ref: np.ndarray, n: int) -> float:
@@ -231,34 +251,3 @@ def _ks_terms_max(idx: np.ndarray, ref: np.ndarray, n: int) -> float:
     d_plus = float(np.max(steps - ref))
     d_minus = float(np.max(ref - (steps - 1.0 / n)))
     return max(d_plus, d_minus, 0.0)
-
-
-def _ks_bracketed(xs: np.ndarray, reference_cdf: Callable) -> float | None:
-    """KS statistic from F at every block start plus F in the blocks that can win.
-
-    None when F cannot take the coarse points as one array, steps back
-    across them by more than the slack, or leaves blocks holding over half
-    the points to refine: the caller then evaluates every point.
-    """
-    n = xs.size
-    coarse = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
-    try:
-        f = np.asarray(reference_cdf(xs[coarse]), dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
-    # NaN fails this comparison too.
-    if f.shape != coarse.shape or not np.all(f[1:] >= f[:-1] - _KS_SLACK):
-        return None
-    low = _ks_terms_max(coarse, f, n)
-    # Block j holds sorted indices coarse[j] .. coarse[j + 1] - 1. As F is
-    # nondecreasing, F(x_(coarse[j])) <= F there <= F(x_(coarse[j + 1])).
-    bound = np.maximum(coarse[1:] / n - f[:-1], f[1:] - coarse[:-1] / n)
-    starts = coarse[:-1][bound + _KS_SLACK >= low]
-    if starts.size == 0:
-        return low
-    # Past half the points, one contiguous pass costs less than the gather.
-    if 2 * starts.size * _KS_STRIDE > n:
-        return None
-    idx = np.minimum((starts[:, None] + np.arange(_KS_STRIDE)).ravel(), n - 1)
-    ref = np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
-    return max(low, _ks_terms_max(idx, ref, n))

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._version import __version__
 from .analytic import (
     EXACT_DENSITY_MAX_DIM,
@@ -25,7 +23,7 @@ from .estimation import (
     ks_statistic,
     summarize,
 )
-from .sampling import SampleSpec, _integer, _uint64, derive_seed, sample_distances
+from .sampling import SampleSpec, _boolean, _integer, _uint64, derive_seed, sample_distances
 
 __all__ = [
     "DEFAULT_DIMS", "DEFAULT_NUM_PAIRS", "ExperimentConfig", "DimensionReport",
@@ -66,10 +64,7 @@ class ExperimentConfig:
             seen.add(d)
         object.__setattr__(self, "dims", dims)
         for name in ("emit_histograms", "emit_gof"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {value!r}")
-            object.__setattr__(self, name, bool(value))
+            object.__setattr__(self, name, _boolean(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

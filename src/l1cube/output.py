@@ -2,9 +2,10 @@
 
 Every CSV cell is a float in `%.17g` form or a plain token (an int, a backend
 name, or empty), written as whole lines through one row template; no cell is
-ever quoted. JSON floats take their shortest exact form. So every float
-round-trips exactly, and identical reports serialize to identical bytes on any
-platform; golden tests pin the table, the JSON report and the figure files.
+ever quoted. JSON floats take their shortest exact form, and `_write` writes
+every file as UTF-8 with `\n` line ends. So every float round-trips exactly,
+and identical reports serialize to identical bytes on any platform; golden
+tests pin the table, the JSON report and the figure files.
 `table.csv` and the printed table share one renderer; the printed table's
 columns and widths are named in `_PRINT_WIDTHS`, next to `TABLE_COLUMNS`.
 
@@ -31,6 +32,7 @@ from .analytic import (
     normal_pdf,
 )
 from .experiment import DimensionReport, ExperimentReport
+from .sampling import _boolean
 
 __all__ = [
     "OutputBundle", "write_bundle", "dump_report_json", "write_report_json",
@@ -65,7 +67,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, text: str) -> Path:
+def _write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8", newline="")
     return path
 
@@ -91,9 +93,7 @@ def dump_report_json(report: ExperimentReport) -> str:
 
 
 def write_report_json(report: ExperimentReport, path) -> Path:
-    path = Path(path)
-    path.write_text(dump_report_json(report), encoding="utf-8")
-    return path
+    return _write(Path(path), dump_report_json(report))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def _render_table(report: ExperimentReport, widths: dict[str, int], cell, sep: s
 def write_table_csv(report: ExperimentReport, path) -> Path:
     """One CSV row per dimension, in sweep order."""
     table = _render_table(report, dict.fromkeys(TABLE_COLUMNS, 0), _cell, ",")
-    return _write_csv(Path(path), table)
+    return _write(Path(path), table)
 
 
 def print_table(report: ExperimentReport, stream) -> None:
@@ -160,7 +160,7 @@ def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
         hist = row.histogram
         hist_path = out_dir / f"hist_n{row.dim}.csv"
         columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.heights)
-        _write_csv(hist_path, _float_csv(("bin_left", "bin_right", "density"), *columns))
+        _write(hist_path, _float_csv(("bin_left", "bin_right", "density"), *columns))
         paths.append(hist_path)
 
         xs = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], OVERLAY_GRID_POINTS)
@@ -169,7 +169,7 @@ def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
             overlay["exact_pdf"] = exact_density(row.dim).pdf(xs)
         overlay["normal_pdf"] = normal_pdf(NormalApprox.for_dim(row.dim), xs)
         overlay_path = out_dir / f"overlay_n{row.dim}.csv"
-        _write_csv(overlay_path, _float_csv(overlay, *overlay.values()))
+        _write(overlay_path, _float_csv(overlay, *overlay.values()))
         paths.append(overlay_path)
     return paths
 
@@ -192,6 +192,7 @@ def write_bundle(
     """Write the report files selected by `fmt` (csv, json or both)."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; use csv, json or both")
+    figures = _boolean("figures", figures)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = None

@@ -83,6 +83,13 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return value
 
 
+def _boolean(name: str, value) -> bool:
+    """`value` as a bool (numpy bools included), or a ValueError naming `name`."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _uint64(name: str, value) -> int:
     """`value` as an int in [0, 2^64), or a ValueError naming `name`."""
     value = _integer(name, value)

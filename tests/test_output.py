@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +222,29 @@ class TestWriteBundle:
         target = tmp_path / "deep" / "nested"
         bundle = write_bundle(full_report, target, fmt="json")
         assert bundle.report_json.parent == target
+
+    def test_every_file_written_with_one_line_end_rule(self, full_report, tmp_path, monkeypatch):
+        # report.json used to be written with the platform's line ends.
+        calls = {}
+        write_text = Path.write_text
+
+        def recording_write_text(path, text, *args, **kwargs):
+            calls[path.name] = (args, kwargs)
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", recording_write_text)
+        write_bundle(full_report, tmp_path, fmt="both", figures=True)
+        assert set(calls) == {p.name for p in tmp_path.iterdir()}
+        assert len(calls) == 8
+        for args, kwargs in calls.values():
+            assert args == () and kwargs == {"encoding": "utf-8", "newline": ""}
+
+    @pytest.mark.parametrize("figures", ["no", None, 1], ids=["str", "None", "int"])
+    def test_rejects_non_bool_figures(self, full_report, tmp_path, figures):
+        # "no" used to write the figure files.
+        with pytest.raises(ValueError, match=f"figures must be a bool, got {figures!r}$"):
+            write_bundle(full_report, tmp_path / "out", figures=figures)
+        assert not (tmp_path / "out").exists()
 
     def test_identical_runs_identical_bytes(self, tmp_path):
         cfg = ExperimentConfig(
