@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from ._version import __version__
+from .estimation import _KS_BATCH_BYTES
 from .experiment import (
     DEFAULT_BINS,
     DEFAULT_DIMS,
@@ -27,6 +28,7 @@ from .experiment import (
     run_experiment,
 )
 from .output import FORMATS, print_table, write_bundle
+from .sampling import _WORKER_BYTES, _usable_cpus
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -172,6 +174,28 @@ def _prepare_out_dir(out) -> Path:
     return path
 
 
+def _check_memory(num_pairs: int) -> None:
+    """Refuse a pair count whose row cannot fit in physical memory.
+
+    A row holds its sample, 8 bytes a pair, for the summary, the histogram,
+    the sort and KS. The stages run one after another, each with working
+    memory of a fixed size beside the sample: the buffers of a sampling
+    worker on each usable CPU, then blocks of at most about 2 MiB, such as a
+    KS batch. The bound adds both. Where the OS does not report its memory,
+    nothing is checked.
+    """
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return
+    need = 8 * num_pairs + _usable_cpus() * _WORKER_BYTES + _KS_BATCH_BYTES
+    if 0 < physical < need:
+        raise ValueError(
+            f"--pairs {num_pairs}: a row needs {need / 2**30:.1f} GiB, more than "
+            f"the {physical / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -185,10 +209,11 @@ def main(argv=None) -> int:
         config = ExperimentConfig(
             **{s.field: settings[name] for name, s in _SETTINGS.items() if s.field}
         )
+        _check_memory(config.num_pairs)
         _prepare_out_dir(settings["out"])
     except (ValueError, OSError) as exc:
-        # Bad flags, bad config-file entries, and unusable output directories
-        # are all usage errors.
+        # Bad flags, bad config-file entries, pair counts too large for the
+        # machine and unusable output directories are all usage errors.
         print(f"l1cube: error: {exc}", file=sys.stderr)
         return 2
 

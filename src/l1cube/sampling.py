@@ -12,7 +12,10 @@ Each worker takes chunks from one shared queue and keeps one Philox, which
 it re-keys to (seed, c) at counter 0 for chunk c. A counter-based stream is
 a function of its key and counter alone, so the re-keyed generator yields
 exactly what a fresh `derive_stream(seed, c)` would. The worker's draw and
-difference buffers are reused from chunk to chunk within one call only.
+difference buffers are reused from chunk to chunk within one call only, and
+their size is fixed whatever the dim: above `_BLOCK_DRAWS / 2` coordinates
+each pair is drawn in blocks, from two Philox set by their counter to where
+the pair's P and Q start in the chunk's stream.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 # in the import of this package rather than in the first sample drawn.
 from numpy.random import Generator, Philox
 
-from .metric import span_sum
+from .metric import SUM_SPAN, span_sum
 
 __all__ = [
     "CHUNK_PAIRS", "SampleSpec", "derive_seed", "derive_stream", "sample_distances",
@@ -41,10 +44,13 @@ _MASK64 = (1 << 64) - 1
 # depend on the degree of parallelism.
 CHUNK_PAIRS = 1024
 
-# Most uniforms drawn in one call. Consecutive draws from a Philox stream
-# equal one large draw bit for bit, so this bounds a chunk's memory at huge
-# dims without changing any output.
-_BLOCK_DRAWS = 1 << 20
+# Most uniforms drawn in one call, a power of two. Consecutive draws from a
+# Philox stream equal one large draw bit for bit, so this bounds a worker's
+# buffers at every dim without changing any output: 512 KiB of draws and
+# 256 KiB of differences. At dim <= 32 a whole chunk is still one call.
+_BLOCK_DRAWS = 1 << 16
+# A worker's draw and difference buffers, in bytes.
+_WORKER_BYTES = 8 * (_BLOCK_DRAWS + _BLOCK_DRAWS // 2)
 
 
 def _splitmix64(z: int) -> int:
@@ -125,6 +131,17 @@ def derive_stream(seed: int, stream_id: int) -> Generator:
     return Generator(Philox(key=key))
 
 
+def _seek(bits: Philox, state: dict, offset: int) -> None:
+    """Set `bits` to `state`'s key, `offset` uniforms into its stream.
+
+    Each uniform takes one 64-bit Philox output, and each counter value gives
+    four of them; the counter steps before each four are made.
+    """
+    state["state"]["counter"][0] = offset // 4
+    bits.state = state
+    bits.random_raw(offset % 4, output=False)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one."""
     if hasattr(os, "sched_getaffinity"):
@@ -142,10 +159,13 @@ def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray
     count, and a single worker runs the chunks in this thread.
     """
     workers = _usable_cpus() if workers is None else _integer("workers", workers, 1)
+    dim = spec.dim
     out = np.empty(spec.num_pairs)
-    # Pairs per draw call, so a call holds at most _BLOCK_DRAWS uniforms
-    # (or one pair, if a pair needs more) whatever the dim.
-    step = max(1, _BLOCK_DRAWS // (2 * spec.dim))
+    # Coordinates per block. Up to this dim whole pairs are drawn, `step` to
+    # a call; above it each pair is drawn a block at a time. A block is whole
+    # SUM_SPANs, so its span sums carry the pair's total in span_sum's order.
+    width = max(SUM_SPAN, _BLOCK_DRAWS // 2)
+    step = max(1, _BLOCK_DRAWS // (2 * dim))
     n_chunks = math.ceil(spec.num_pairs / CHUNK_PAIRS)
     chunks = iter(range(n_chunks))
     lock = threading.Lock()
@@ -155,25 +175,48 @@ def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray
             return next(chunks, None)
 
     def run_chunks() -> None:
-        # One Philox and one pair of buffers per worker, reused for every
-        # chunk it takes; none of it outlives this call.
+        # One Philox (two above `width`) and one pair of buffers per worker,
+        # reused for every chunk it takes; none of it outlives this call.
         bits = Philox(key=spec.seed)
         fresh = bits.state  # key (seed, 0), counter 0, buffer empty
         gen = Generator(bits)
-        rows = min(CHUNK_PAIRS, step)
-        draws = np.empty((rows, 2, spec.dim))
-        diff = np.empty((rows, spec.dim))
+        if dim > width:
+            q_bits = Philox(key=spec.seed)
+            q_gen = Generator(q_bits)
+            draws = np.empty((2, width))
+            diff = np.empty(width)
+        else:
+            rows = min(CHUNK_PAIRS, step)
+            draws = np.empty((rows, 2, dim))
+            diff = np.empty((rows, dim))
         for chunk in iter(next_chunk, None):
             # The state a fresh derive_stream(spec.seed, chunk) starts from.
             fresh["state"]["key"][1] = chunk
-            bits.state = fresh
-            stop = min((chunk + 1) * CHUNK_PAIRS, spec.num_pairs)
-            for lo in range(chunk * CHUNK_PAIRS, stop, step):
-                k = min(step, stop - lo)
-                # C-order fill: pair j consumes P's coordinates, then Q's.
-                u = gen.random(out=draws[:k])
-                d = np.subtract(u[:, 0, :], u[:, 1, :], out=diff[:k])
-                out[lo : lo + k] = span_sum(np.abs(d, out=d))
+            start = chunk * CHUNK_PAIRS
+            stop = min(start + CHUNK_PAIRS, spec.num_pairs)
+            if dim <= width:
+                bits.state = fresh
+                for lo in range(start, stop, step):
+                    k = min(step, stop - lo)
+                    # C-order fill: pair j consumes P's coordinates, then Q's.
+                    u = gen.random(out=draws[:k])
+                    d = np.subtract(u[:, 0, :], u[:, 1, :], out=diff[:k])
+                    out[lo : lo + k] = span_sum(np.abs(d, out=d))
+            else:
+                for i in range(start, stop):
+                    offset = 2 * dim * (i - start)
+                    _seek(bits, fresh, offset)
+                    _seek(q_bits, fresh, offset + dim)
+                    # 0.0 + s is s for the first, nonnegative span sum.
+                    total = 0.0
+                    for lo in range(0, dim, width):
+                        k = min(width, dim - lo)
+                        d = np.subtract(gen.random(out=draws[0, :k]),
+                                        q_gen.random(out=draws[1, :k]), out=diff[:k])
+                        np.abs(d, out=d)
+                        for s in range(0, k, SUM_SPAN):
+                            total = total + np.add.reduce(d[s : s + SUM_SPAN])
+                    out[i] = total
 
     workers = min(workers, n_chunks)
     if workers == 1:

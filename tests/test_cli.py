@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -146,6 +147,52 @@ class TestUsageErrorExitCodes:
         )
         assert code == 1
         assert "simulated failure" in err
+
+
+@pytest.fixture
+def physical_memory(monkeypatch):
+    """Make os.sysconf report a given number of bytes of physical memory."""
+    real = os.sysconf
+
+    def set_bytes(total):
+        names = {"SC_PHYS_PAGES": total, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: names[name] if name in names else real(name))
+
+    return set_bytes
+
+
+class TestMemoryCheck:
+    """The CLI refuses, before sampling, a pair count whose row cannot fit."""
+
+    def test_pairs_beyond_physical_memory_refused(self, tmp_path, capsys, physical_memory):
+        physical_memory(2**30)
+        out = tmp_path / "never"
+        code, outs, err = run_cli(["--pairs", "200000000", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == ("l1cube: error: --pairs 200000000: a row needs 1.5 GiB, more than "
+                       "the 1.0 GiB of physical memory\n")
+        assert outs == ""
+        assert not out.exists()
+
+    def test_bound_is_the_rows_footprint(self, tmp_path, capsys, physical_memory, monkeypatch):
+        # 2048 pairs of 8 bytes, 768 KiB for each of two sampling workers and
+        # 2 MiB for a KS batch: 3,686,400 bytes run, one byte fewer is refused.
+        monkeypatch.setattr("l1cube.cli._usable_cpus", lambda: 2)
+        argv = ["--dims", "1", "--pairs", "2048", "--gof", "--out", str(tmp_path)]
+        physical_memory(3_686_399)
+        assert run_cli(argv, capsys)[0] == 2
+        physical_memory(3_686_400)
+        assert run_cli(argv, capsys)[0] == 0
+
+    @pytest.mark.parametrize("lookup", ["missing-name", "no-sysconf"])
+    def test_unknown_memory_is_not_checked(self, lookup, tmp_path, capsys, monkeypatch):
+        if lookup == "missing-name":
+            real = os.sysconf  # raises ValueError for a name the OS lacks
+            monkeypatch.setattr(os, "sysconf", lambda name: real(name + "_UNKNOWN"))
+        else:
+            monkeypatch.delattr(os, "sysconf")
+        code, _, _ = run_cli(["--dims", "1", "--pairs", "10", "--out", str(tmp_path)], capsys)
+        assert code == 0
 
 
 class TestConfigFile:

@@ -430,15 +430,25 @@ class TestKsBlocks:
         for reference in _reference_cdfs(dim):
             self.assert_matches(e, reference)
 
+    @classmethod
+    def assert_batched(cls, n, sizes, gathered):
+        # One coarse call at every 256th point and the last, then the gathered
+        # blocks in batches of at most 16,384 points, summing to the points
+        # of the blocks that can hold the supremum.
+        coarse, *batches = sizes
+        assert coarse == -(-(n - 1) // cls.STRIDE) + 1
+        assert batches and max(batches) <= estimation._KS_BATCH
+        assert sum(batches) == gathered
+
     def test_evaluates_a_fraction_of_points(self):
         # At sweep-heavy's 10^6 points per row, the blocks that can hold the
         # supremum hold about 7% (normal) and 12% (exact) of them at dim 5.
         n = 1_000_000
         e = EmpiricalCdf.from_values(sample_distances(SampleSpec(5, n, seed=5)))
-        for reference in _reference_cdfs(5):
+        for reference, gathered in zip(_reference_cdfs(5), (68_096, 116_480)):
             sizes = []
             ks_statistic(e, lambda x: sizes.append(x.size) or reference(x))
-            assert len(sizes) == 2 and sum(sizes) < n // 4
+            self.assert_batched(n, sizes, gathered)
 
     @pytest.mark.parametrize("dim, n", [(1, 131_072), (1, 200_000), (5, 131_072)])
     def test_full_pass_when_most_blocks_can_win(self, dim, n):
@@ -453,15 +463,35 @@ class TestKsBlocks:
         ks_statistic(e, lambda x: sizes.append(x.size) or exact(x))
         assert sizes == [-(-(n - 1) // self.STRIDE) + 1, n]
 
-    @pytest.mark.parametrize("dim", [1, 20])
-    def test_million_points_still_gathered(self, dim):
+    @pytest.mark.parametrize(
+        "dim, gathered", [(1, (256, 168_704)), (20, (49_920, 123_904))], ids=["1", "20"])
+    def test_million_points_still_gathered(self, dim, gathered):
         # The full-pass fallback leaves sweep-heavy's rows on the block path.
         n = 1_000_000
         e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, n, seed=dim)))
-        for reference in _reference_cdfs(dim):
+        for reference, points in zip(_reference_cdfs(dim), gathered):
             sizes = []
             ks_statistic(e, lambda x: sizes.append(x.size) or reference(x))
-            assert len(sizes) == 2 and sum(sizes) < n // 4
+            self.assert_batched(n, sizes, points)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_batches_of_any_size(self, batch, monkeypatch):
+        # Batches of one and of three blocks, so that both paths take many
+        # batches at these sizes: the gathered blocks, and the terms of the
+        # full pass.
+        monkeypatch.setattr(estimation, "_KS_BATCH", batch * self.STRIDE)
+        refs = _reference_cdfs(3)
+        for n in [1000, self.FULL_BELOW + 3 * self.STRIDE + 5, 300_000]:
+            e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=n)))
+            for reference in refs:
+                self.assert_matches(e, reference)
+        # The supremum at the last point, alone in the full pass's last slice.
+        n = 3 * batch * self.STRIDE + 1
+        sample, reference = _table_reference([(i + 0.5) / n for i in range(n - 1)] + [0.2])
+        assert ks_statistic(sample, reference) == full_ks(sample, reference) == 1.0 - 0.2
+        monkeypatch.setattr(estimation, "_KS_FULL_BELOW", 0)
+        e = EmpiricalCdf.from_values(np.random.default_rng(7).random(5000))
+        self.assert_matches(e, lambda x: np.floor(np.asarray(x) * 7) / 7)
 
     @pytest.mark.usefixtures("blocks_at_any_size")
     @pytest.mark.parametrize("n", [5000, 300_000])
@@ -554,3 +584,24 @@ class TestKsMemory:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes
+
+
+class TestKsBatchMemory:
+    """KS holds one batch of 16,384 points at a time, whatever N."""
+
+    def test_peak_of_eleven_batches(self):
+        # At 10^6 points, dim 1's exact reference gathers 168,704 points: 11
+        # batches. The peak reads 0.98 MiB; gathered at once, as before the
+        # batches, the same blocks peaked at 6.5 MiB.
+        x = sample_distances(SampleSpec(1, 1_000_000, seed=1))
+        x.sort()
+        sample = EmpiricalCdf(x)
+        exact = exact_density(1).cdf
+        exact(x[:8])  # builds any cached state outside the trace
+        tracemalloc.start()
+        try:
+            ks_statistic(sample, exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20

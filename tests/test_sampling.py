@@ -1,10 +1,12 @@
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from l1cube import (
     CHUNK_PAIRS,
@@ -16,6 +18,7 @@ from l1cube import (
     sample_distances,
 )
 from l1cube.metric import SUM_SPAN
+from l1cube.sampling import _WORKER_BYTES, _seek
 from pairwise_reference import span_sum as reference_span_sum
 import sampler_reference
 
@@ -210,10 +213,15 @@ class TestSampleDistances:
         base = sample_distances(spec, workers=1)
         for workers in (2, 8):
             assert np.array_equal(base, sample_distances(spec, workers=workers))
-        # Ten pairs per draw call: blocks end short at every chunk's end.
+        wide = SampleSpec(dim=SUM_SPAN + 3, num_pairs=CHUNK_PAIRS + 5, seed=13)
+        wide_base = sample_distances(wide, workers=1)
+        # Ten pairs per draw call: blocks end short at every chunk's end. At
+        # SUM_SPAN + 3 coordinates each pair is now drawn in blocks, and two
+        # workers take its two chunks.
         monkeypatch.setattr("l1cube.sampling._BLOCK_DRAWS", 64)
         for workers in (1, 2):
             assert np.array_equal(base, sample_distances(spec, workers=workers))
+            assert wide_base.tobytes() == sample_distances(wide, workers=workers).tobytes()
 
     @pytest.mark.parametrize("workers", [0, -1, -8])
     def test_rejects_worker_count_below_one(self, workers, pool_sizes):
@@ -284,20 +292,31 @@ class TestSampleDistances:
     @pytest.mark.parametrize(
         "dim, num_pairs",
         [(1, 3 * CHUNK_PAIRS + 7), (2, 3 * CHUNK_PAIRS + 7), (100, 3 * CHUNK_PAIRS + 7),
-         (2**20 + 1, 3)],
+         (2**15 + 1, 3), (3 * SUM_SPAN + 5, 3), (2**17 + 3, 3), (2**20 + 1, 3)],
     )
     def test_equals_fresh_stream_oracle(self, dim, num_pairs, monkeypatch):
         # Re-keyed generators and reused buffers give what one fresh stream
-        # per chunk gives, for any worker count and draw-call size. At dim
-        # 2**20 + 1 each pair takes a draw call of its own.
+        # per chunk gives, for any worker count and draw-call size. Above
+        # 2**15 coordinates (SUM_SPAN with 64 or 2 * SUM_SPAN uniforms a
+        # call) each pair is drawn in blocks, with P and Q read from two
+        # generators set to their offsets; the last block is partial.
         spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=2024)
         expected = sampler_reference.distances(spec)
-        for block_draws in (None, 64):
+        for block_draws in (None, 64, 2 * SUM_SPAN):
             if block_draws:
                 monkeypatch.setattr("l1cube.sampling._BLOCK_DRAWS", block_draws)
             for workers in (1, 2):
                 got = sample_distances(spec, workers=workers)
                 assert got.tobytes() == expected.tobytes(), (block_draws, workers)
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 7, 8, 1021, 4093, 2 * 2**17 + 3])
+    def test_seek_equals_the_read_through_stream(self, offset):
+        bits = Philox(key=9)
+        state = bits.state
+        state["state"]["key"][1] = 4
+        _seek(bits, state, offset)
+        stream = derive_stream(9, 4).random(offset + 9)
+        assert Generator(bits).random(9).tobytes() == stream[offset:].tobytes()
 
     def test_concurrent_calls_get_their_serial_bytes(self):
         # Two calls at once, each with its own workers: nothing one call
@@ -345,3 +364,25 @@ class TestSampleDistances:
         d = sample_distances(spec)
         se = np.sqrt((4 / 18) / 20000)
         assert abs(d.mean() - 4 / 3) < 5 * se
+
+
+class TestSamplerMemory:
+    """A worker's buffers are a fixed size at every dim."""
+
+    @pytest.mark.parametrize("dim, num_pairs", [(100, 2**17), (2**17 + 3, 2)])
+    def test_peak_beside_the_output(self, dim, num_pairs):
+        # Two workers at dim 100; one at the block-path dim, as its two pairs
+        # are one chunk. Each worker's draws and differences take 768 KiB;
+        # before the fixed budget, dim 100 held 2.4 MiB a worker and dim
+        # 2**17 + 3 a whole pair, 3 MiB. The slack covers numpy's ufunc
+        # buffers for the strided P - Q at dim 100, 128 KiB a worker, and
+        # 64 KiB for the threads and the generators. The peaks read 1,808 and
+        # 772 KiB past the output (5,075 and 9,220 KiB before).
+        spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=3)
+        tracemalloc.start()
+        try:
+            out = sample_distances(spec, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 2 * _WORKER_BYTES + 2 * (128 << 10) + (64 << 10)
