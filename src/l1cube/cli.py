@@ -174,24 +174,36 @@ def _prepare_out_dir(out) -> Path:
     return path
 
 
-def _check_memory(num_pairs: int) -> None:
-    """Refuse a pair count whose row cannot fit in physical memory.
+# Bytes each histogram bin of each row holds by the time the files are
+# written: its edge and count, then their JSON lists and text. tracemalloc
+# reads 258-270 bytes over a whole run, the JSON report being the peak; the
+# rest is headroom for the allocator.
+_BIN_BYTES = 320
 
-    A row holds its sample, 8 bytes a pair, for the summary, the histogram,
-    the sort and KS. The stages run one after another, each with working
+
+def _check_memory(config: ExperimentConfig) -> None:
+    """Refuse a run whose pairs or histogram bins cannot fit in physical memory.
+
+    A row holds its sample, 8 bytes a pair, for the summary, the sort, the
+    histogram and KS. The stages run one after another, each with working
     memory of a fixed size beside the sample: the buffers of a sampling
     worker on each usable CPU, then blocks of at most about 2 MiB, such as a
-    KS batch. The bound adds both. Where the OS does not report its memory,
-    nothing is checked.
+    KS batch. With histograms, every row's bins are kept to the end of the
+    run and then written out, `_BIN_BYTES` a bin. The bound adds all of it.
+    Where the OS does not report its memory, nothing is checked.
     """
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         return
-    need = 8 * num_pairs + _usable_cpus() * _WORKER_BYTES + _KS_BATCH_BYTES
+    need = 8 * config.num_pairs + _usable_cpus() * _WORKER_BYTES + _KS_BATCH_BYTES
+    what = f"--pairs {config.num_pairs}: a row needs"
+    if config.emit_histograms:
+        need += len(config.dims) * (config.bins + 1) * _BIN_BYTES
+        what = f"--pairs {config.num_pairs} --bins {config.bins}: the sweep needs"
     if 0 < physical < need:
         raise ValueError(
-            f"--pairs {num_pairs}: a row needs {need / 2**30:.1f} GiB, more than "
+            f"{what} {need / 2**30:.1f} GiB, more than "
             f"the {physical / 2**30:.1f} GiB of physical memory"
         )
 
@@ -209,11 +221,11 @@ def main(argv=None) -> int:
         config = ExperimentConfig(
             **{s.field: settings[name] for name, s in _SETTINGS.items() if s.field}
         )
-        _check_memory(config.num_pairs)
+        _check_memory(config)
         _prepare_out_dir(settings["out"])
     except (ValueError, OSError) as exc:
-        # Bad flags, bad config-file entries, pair counts too large for the
-        # machine and unusable output directories are all usage errors.
+        # Bad flags, bad config-file entries, pair or bin counts too large
+        # for the machine and unusable output directories are all usage errors.
         print(f"l1cube: error: {exc}", file=sys.stderr)
         return 2
 

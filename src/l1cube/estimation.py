@@ -172,13 +172,41 @@ def build_histogram(
     """Equal-width histogram over [min, max] of the data.
 
     The rightmost bin is closed on both sides, so the counts partition the
-    observations.
+    observations. Edges and counts equal `np.histogram`'s: the edges are
+    `lo + i * (hi - lo) / bins` with the last set to `hi` (a range of
+    width 0 is widened by 0.5 on each side), and a value on an inner edge
+    falls in the bin to its right. Sorted data is counted where it lies,
+    by binary search; other data is counted in a sorted copy.
     """
     x = np.asarray(distances, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("cannot build a histogram from an empty sample")
-    counts, edges = np.histogram(x, bins=_integer("bins", bins, 1))
+    bins = _integer("bins", bins, 1)
+    if not _is_sorted(x):
+        x = np.sort(x)
+    lo, hi = float(x[0]), float(x[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"histogram range [{lo}, {hi}] is not finite")
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.arange(bins + 1) * ((hi - lo) / bins) + lo
+    edges[-1] = hi
+    starts = np.searchsorted(x, edges[:-1], side="left")
+    counts = np.diff(starts, append=x.size)
     return Histogram(edges, counts, density_mode)
+
+
+def _is_sorted(x: np.ndarray) -> bool:
+    """Whether the 1-D `x` is nondecreasing with no NaN, checked `_BLOCK` values at a time.
+
+    NaN compares false, so a NaN anywhere fails a comparison with a
+    neighbour; a lone value is compared to itself.
+    """
+    for i in range(0, x.size - 1, _BLOCK):
+        block = x[i : i + _BLOCK + 1]  # shares its last value with the next block
+        if not np.all(block[:-1] <= block[1:]):
+            return False
+    return x.size > 1 or bool(x[0] == x[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +217,7 @@ class EmpiricalCdf:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.sorted_values, dtype=np.float64)
-        # NaN compares false, so one pass of `<=` over neighbours rejects both
-        # a step down and a NaN anywhere; a lone value is compared to itself.
-        if v.ndim != 1 or (v.size and not (np.all(v[:-1] <= v[1:]) and v[0] == v[0])):
+        if v.ndim != 1 or (v.size and not _is_sorted(v)):
             raise ValueError("values must be 1-D, sorted nondecreasing and contain no NaN")
         v.setflags(write=False)
         object.__setattr__(self, "sorted_values", v)

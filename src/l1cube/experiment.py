@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ._version import __version__
 from .analytic import (
@@ -23,7 +24,7 @@ from .estimation import (
     ks_statistic,
     summarize,
 )
-from .sampling import SampleSpec, _boolean, _integer, _uint64, derive_seed, sample_distances
+from .sampling import SampleSpec, _boolean, _integer, _sampler, _uint64, derive_seed
 
 __all__ = [
     "DEFAULT_DIMS", "DEFAULT_NUM_PAIRS", "ExperimentConfig", "DimensionReport",
@@ -117,13 +118,17 @@ def compare_to_theory(summary: MomentSummary, dim: int) -> tuple[float, float]:
     return mean_dev_se, var_dev_rel
 
 
-def _run_dim(config: ExperimentConfig, dim: int) -> DimensionReport:
+def _run_dim(config: ExperimentConfig, dim: int, sample: Callable) -> DimensionReport:
     # Substream keyed by the dimension value, so permuting or extending the
     # dims list never changes another row's samples.
     spec = SampleSpec(dim=dim, num_pairs=config.num_pairs, seed=derive_seed(config.seed, dim))
-    distances = sample_distances(spec)
+    distances = sample(spec)
     summary = summarize(distances)
     mean_dev_se, var_dev_rel = compare_to_theory(summary, dim)
+    if config.emit_histograms or config.emit_gof:
+        # The summary's bytes depend on the drawn order, and it has read the
+        # sample; the histogram and KS both take it sorted, in place.
+        distances.sort()
 
     histogram = None
     if config.emit_histograms:
@@ -132,8 +137,6 @@ def _run_dim(config: ExperimentConfig, dim: int) -> DimensionReport:
     ks_exact = ks_normal = crit05 = crit01 = None
     backend = None
     if config.emit_gof:
-        # Summary and histogram have read the sample; sort it where it lies.
-        distances.sort()
         ecdf = EmpiricalCdf(distances)
         approx = NormalApprox.for_dim(dim)
         ks_normal = ks_statistic(ecdf, lambda x: normal_cdf(approx, x))
@@ -167,7 +170,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     dimension value), summarized, and compared against the closed forms;
     goodness-of-fit columns use the exact density where it is available and
     fall back to the normal reference above its ceiling, recording which
-    backend answered.
+    backend answered. Every row samples on one set of threads.
     """
-    rows = tuple(_run_dim(config, dim) for dim in config.dims)
+    with _sampler() as sample:
+        rows = tuple(_run_dim(config, dim, sample) for dim in config.dims)
     return ExperimentReport(config=config, rows=rows)

@@ -8,14 +8,16 @@ bitwise identical for any worker count. By default the chunks run on every
 CPU the process may use (so `taskset` limits them), and the bytes do not
 depend on how many that is.
 
-Each worker takes chunks from one shared queue and keeps one Philox, which
-it re-keys to (seed, c) at counter 0 for chunk c. A counter-based stream is
-a function of its key and counter alone, so the re-keyed generator yields
-exactly what a fresh `derive_stream(seed, c)` would. The worker's draw and
-difference buffers are reused from chunk to chunk within one call only, and
-their size is fixed whatever the dim: above `_BLOCK_DRAWS / 2` coordinates
-each pair is drawn in blocks, from two Philox set by their counter to where
-the pair's P and Q start in the chunk's stream.
+The workers are the calling thread and helper threads that live for one
+`run_experiment`, or one `sample_distances`, and serve each of its rows.
+For a row, each worker takes chunks from one shared queue and keeps one
+Philox, which it re-keys to (seed, c) at counter 0 for chunk c. A
+counter-based stream is a function of its key and counter alone, so the
+re-keyed generator yields exactly what a fresh `derive_stream(seed, c)`
+would. The worker's draw and difference buffers are reused from chunk to
+chunk within one row only, and their size is fixed whatever the dim: above
+`_BLOCK_DRAWS / 2` coordinates each pair is drawn in blocks, from two Philox
+set by their counter to where the pair's P and Q start in the chunk's stream.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,16 +152,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextmanager
+def _sampler(workers: int | None = None):
+    """Yield `sample(spec)`, drawing on this thread and `workers - 1` helpers that end with it."""
+    workers = _usable_cpus() if workers is None else _integer("workers", workers, 1)
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        yield lambda spec: _sample(spec, pool, workers)
+
+
 def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray:
     """Manhattan distances of `spec.num_pairs` fresh uniform point pairs.
 
     A pure function of the spec: the returned sequence is bitwise identical
     for any `workers` value, because chunk c always draws from the
     substream (spec.seed, c) regardless of which worker runs it. `workers`
-    defaults to the number of usable CPUs; the pool never exceeds the chunk
-    count, and a single worker runs the chunks in this thread.
+    defaults to the number of usable CPUs, the calling thread among them;
+    no helper thread outlives the call.
     """
-    workers = _usable_cpus() if workers is None else _integer("workers", workers, 1)
+    with _sampler(workers) as sample:
+        return sample(spec)
+
+
+def _sample(spec: SampleSpec, pool: ThreadPoolExecutor | None, workers: int) -> np.ndarray:
+    """`spec`'s distances from this thread and at most `workers - 1` tasks on `pool`."""
     dim = spec.dim
     out = np.empty(spec.num_pairs)
     # Coordinates per block. Up to this dim whole pairs are drawn, `step` to
@@ -175,54 +191,56 @@ def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray
             return next(chunks, None)
 
     def run_chunks() -> None:
-        # One Philox (two above `width`) and one pair of buffers per worker,
-        # reused for every chunk it takes; none of it outlives this call.
-        bits = Philox(key=spec.seed)
-        fresh = bits.state  # key (seed, 0), counter 0, buffer empty
-        gen = Generator(bits)
-        if dim > width:
-            q_bits = Philox(key=spec.seed)
-            q_gen = Generator(q_bits)
-            draws = np.empty((2, width))
-            diff = np.empty(width)
-        else:
-            rows = min(CHUNK_PAIRS, step)
-            draws = np.empty((rows, 2, dim))
-            diff = np.empty((rows, dim))
-        for chunk in iter(next_chunk, None):
-            # The state a fresh derive_stream(spec.seed, chunk) starts from.
-            fresh["state"]["key"][1] = chunk
-            start = chunk * CHUNK_PAIRS
-            stop = min(start + CHUNK_PAIRS, spec.num_pairs)
-            if dim <= width:
-                bits.state = fresh
-                for lo in range(start, stop, step):
-                    k = min(step, stop - lo)
-                    # C-order fill: pair j consumes P's coordinates, then Q's.
-                    u = gen.random(out=draws[:k])
-                    d = np.subtract(u[:, 0, :], u[:, 1, :], out=diff[:k])
-                    out[lo : lo + k] = span_sum(np.abs(d, out=d))
+        nonlocal chunks
+        try:
+            # One Philox (two above `width`) and one pair of buffers per worker,
+            # reused for every chunk it takes; none of it outlives this call.
+            bits = Philox(key=spec.seed)
+            fresh = bits.state  # key (seed, 0), counter 0, buffer empty
+            gen = Generator(bits)
+            if dim > width:
+                q_bits = Philox(key=spec.seed)
+                q_gen = Generator(q_bits)
+                draws = np.empty((2, width))
+                diff = np.empty(width)
             else:
-                for i in range(start, stop):
-                    offset = 2 * dim * (i - start)
-                    _seek(bits, fresh, offset)
-                    _seek(q_bits, fresh, offset + dim)
-                    # 0.0 + s is s for the first, nonnegative span sum.
-                    total = 0.0
-                    for lo in range(0, dim, width):
-                        k = min(width, dim - lo)
-                        d = np.subtract(gen.random(out=draws[0, :k]),
-                                        q_gen.random(out=draws[1, :k]), out=diff[:k])
-                        np.abs(d, out=d)
-                        for s in range(0, k, SUM_SPAN):
-                            total = total + np.add.reduce(d[s : s + SUM_SPAN])
-                    out[i] = total
+                rows = min(CHUNK_PAIRS, step)
+                draws = np.empty((rows, 2, dim))
+                diff = np.empty((rows, dim))
+            for chunk in iter(next_chunk, None):
+                # The state a fresh derive_stream(spec.seed, chunk) starts from.
+                fresh["state"]["key"][1] = chunk
+                start = chunk * CHUNK_PAIRS
+                stop = min(start + CHUNK_PAIRS, spec.num_pairs)
+                if dim <= width:
+                    bits.state = fresh
+                    for lo in range(start, stop, step):
+                        k = min(step, stop - lo)
+                        # C-order fill: pair j consumes P's coordinates, then Q's.
+                        u = gen.random(out=draws[:k])
+                        d = np.subtract(u[:, 0, :], u[:, 1, :], out=diff[:k])
+                        out[lo : lo + k] = span_sum(np.abs(d, out=d))
+                else:
+                    for i in range(start, stop):
+                        offset = 2 * dim * (i - start)
+                        _seek(bits, fresh, offset)
+                        _seek(q_bits, fresh, offset + dim)
+                        # 0.0 + s is s for the first, nonnegative span sum.
+                        total = 0.0
+                        for lo in range(0, dim, width):
+                            k = min(width, dim - lo)
+                            d = np.subtract(gen.random(out=draws[0, :k]),
+                                            q_gen.random(out=draws[1, :k]), out=diff[:k])
+                            np.abs(d, out=d)
+                            for s in range(0, k, SUM_SPAN):
+                                total = total + np.add.reduce(d[s : s + SUM_SPAN])
+                        out[i] = total
+        finally:
+            chunks = iter(())  # a worker stops when the queue is empty, or fails
 
-    workers = min(workers, n_chunks)
-    if workers == 1:
-        run_chunks()
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for task in [pool.submit(run_chunks) for _ in range(workers)]:
-                task.result()
+    # Should this thread fail, the pool's shutdown waits for the helpers.
+    helpers = [pool.submit(run_chunks) for _ in range(min(workers, n_chunks) - 1)]
+    run_chunks()
+    for task in helpers:
+        task.result()
     return out

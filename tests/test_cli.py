@@ -184,6 +184,37 @@ class TestMemoryCheck:
         physical_memory(3_686_400)
         assert run_cli(argv, capsys)[0] == 0
 
+    def test_bins_beyond_physical_memory_refused(self, tmp_path, capsys, physical_memory,
+                                                 monkeypatch):
+        # 10^9 bins used to be sampled first, then fail with numpy's "Unable
+        # to allocate 7.45 GiB" (exit 1).
+        physical_memory(8 * 2**30)
+        sampled = []
+        monkeypatch.setattr("l1cube.cli.run_experiment", sampled.append)
+        out = tmp_path / "never"
+        argv = ["--dims", "1", "--pairs", "100", "--histograms", "--bins", "1000000000",
+                "--out", str(out)]
+        code, outs, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == ("l1cube: error: --pairs 100 --bins 1000000000: the sweep needs 298.0 GiB, "
+                       "more than the 8.0 GiB of physical memory\n")
+        assert (outs, sampled) == ("", [])
+        assert not out.exists()
+
+    def test_bound_counts_every_rows_bins(self, tmp_path, capsys, physical_memory, monkeypatch):
+        # The row's 3,686,400 bytes as above, then two rows of 100 edges and
+        # 99 counts at 320 bytes a bin: 3,750,400 bytes run, one fewer is refused.
+        monkeypatch.setattr("l1cube.cli._usable_cpus", lambda: 2)
+        argv = ["--dims", "1,2", "--pairs", "2048", "--gof", "--histograms", "--bins", "99",
+                "--out", str(tmp_path)]
+        physical_memory(3_750_399)
+        assert run_cli(argv, capsys)[0] == 2
+        physical_memory(3_750_400)
+        assert run_cli(argv, capsys)[0] == 0
+        # Without histograms the bins cost nothing.
+        physical_memory(3_686_400)
+        assert run_cli([a for a in argv if a != "--histograms"], capsys)[0] == 0
+
     @pytest.mark.parametrize("lookup", ["missing-name", "no-sysconf"])
     def test_unknown_memory_is_not_checked(self, lookup, tmp_path, capsys, monkeypatch):
         if lookup == "missing-name":

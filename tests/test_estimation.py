@@ -205,6 +205,41 @@ class TestHistogram:
         assert np.array_equal(h.bin_edges, edges)
         assert h.total == 4000
 
+    def test_adversarial_samples_match_numpy(self):
+        # Ties, constant samples, scales from 1e-8 to 1e8 and 1-199 bins:
+        # edges and counts equal np.histogram's bit for bit, sorted or not.
+        rng = np.random.default_rng(2027)
+        for trial in range(2000):
+            n = int(rng.integers(1, 2000))
+            scale = 10.0 ** rng.uniform(-8, 8)
+            x = [rng.random(n) * scale,
+                 np.round(rng.random(n) * 7) / 7 * scale + scale,
+                 np.full(n, rng.random() * scale),
+                 rng.normal(size=n) * scale - scale][trial % 4]
+            bins = int(rng.integers(1, 200))
+            counts, edges = np.histogram(x, bins=bins)
+            for data in (x, np.sort(x)):
+                h = build_histogram(data, bins=bins)
+                assert h.bin_edges.tobytes() == edges.tobytes(), (trial, bins)
+                assert np.array_equal(h.counts, counts), (trial, bins)
+
+    def test_sorted_sample_counted_in_place(self):
+        # At 10^6 sorted points the histogram holds its edges and counts and
+        # a 64 KiB block of the sortedness check; np.histogram held 2,242 KiB.
+        x = np.sort(np.random.default_rng(3).random(10**6))
+        tracemalloc.start()
+        try:
+            build_histogram(x, bins=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 << 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="is not finite"):
+            build_histogram([0.5, bad, 0.25], bins=3)
+
     def test_counts_partition_the_sample(self):
         # The rightmost bin is closed, so the maximum is counted too.
         x = np.array([0.0, 0.5, 1.0, 1.0])
@@ -287,6 +322,15 @@ class TestEmpiricalCdf:
             EmpiricalCdf(np.array([0.2, 0.1]))
         with pytest.raises(ValueError, match="1-D"):
             EmpiricalCdf(np.array([[0.1, 0.2], [0.3, 0.4]]))
+
+    @pytest.mark.parametrize("at", [2**16 - 2, 2**16 - 1, 2**16])
+    def test_rejects_a_step_down_between_check_blocks(self, at):
+        # Sortedness is checked 2**16 values at a time; a step down from
+        # value `at` to the next, at or near the first block's end, is seen.
+        values = np.arange(2**16 + 3, dtype=np.float64)
+        values[at + 1] = values[at] - 0.5
+        with pytest.raises(ValueError, match="sorted"):
+            EmpiricalCdf(values)
 
     @pytest.mark.parametrize(
         "values", [[0.1, np.nan, 0.2], [np.nan], [np.nan, 0.1], [0.1, np.nan]]

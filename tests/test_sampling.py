@@ -10,14 +10,17 @@ from numpy.random import Generator, Philox
 
 from l1cube import (
     CHUNK_PAIRS,
+    ExperimentConfig,
     Point,
     SampleSpec,
     derive_seed,
     derive_stream,
     manhattan_distance,
+    run_experiment,
     sample_distances,
+    summarize,
 )
-from l1cube.metric import SUM_SPAN
+from l1cube.metric import SUM_SPAN, span_sum
 from l1cube.sampling import _WORKER_BYTES, _seek
 from pairwise_reference import span_sum as reference_span_sum
 import sampler_reference
@@ -165,17 +168,27 @@ class TestStreams:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Record the max_workers of every thread pool the sampler starts."""
-    sizes = []
+def pools(monkeypatch):
+    """Record every thread pool the sampler builds: its size, the helper tasks
+    submitted to it and the threads that ran them."""
+    built = []
 
     class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
+            self.size, self.tasks, self.threads = max_workers, 0, set()
+            built.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            def task():
+                self.threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            self.tasks += 1
+            return super().submit(task)
 
     monkeypatch.setattr("l1cube.sampling.ThreadPoolExecutor", RecordingPool)
-    return sizes
+    return built
 
 
 class TestSampleDistances:
@@ -224,47 +237,50 @@ class TestSampleDistances:
             assert wide_base.tobytes() == sample_distances(wide, workers=workers).tobytes()
 
     @pytest.mark.parametrize("workers", [0, -1, -8])
-    def test_rejects_worker_count_below_one(self, workers, pool_sizes):
+    def test_rejects_worker_count_below_one(self, workers, pools):
         spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
         with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}$"):
             sample_distances(spec, workers=workers)
-        assert pool_sizes == []
+        assert pools == []
 
     @pytest.mark.parametrize(
         "workers",
         [2.5, True, np.True_, "2", 1.0],
         ids=["float", "bool", "numpy-bool", "str", "whole-float"],
     )
-    def test_rejects_non_integer_worker_count(self, workers, pool_sizes):
+    def test_rejects_non_integer_worker_count(self, workers, pools):
         spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
         with pytest.raises(ValueError, match="workers must be an integer, got "):
             sample_distances(spec, workers=workers)
-        assert pool_sizes == []
+        assert pools == []
 
-    def test_pool_capped_at_chunk_count(self, pool_sizes):
+    def test_pool_capped_at_chunk_count(self, pools):
+        # The calling thread samples too, so a call submits one helper task
+        # fewer than the workers it uses, and never more than the chunks less one.
         one_chunk = SampleSpec(dim=3, num_pairs=CHUNK_PAIRS, seed=13)
         base = sample_distances(one_chunk, workers=1)
         assert np.array_equal(sample_distances(one_chunk, workers=8), base)
-        assert pool_sizes == []  # a single chunk starts no thread
+        assert [p.tasks for p in pools] == [0]  # a single chunk starts no thread
         three_chunks = SampleSpec(dim=3, num_pairs=2 * CHUNK_PAIRS + 1, seed=13)
         base = sample_distances(three_chunks, workers=1)
         assert np.array_equal(sample_distances(three_chunks, workers=8), base)
-        assert pool_sizes == [3]
+        assert [p.tasks for p in pools] == [0, 2]
+        assert len(pools[1].threads) <= 2
 
-    def test_default_worker_count_is_usable_cpus(self, pool_sizes, monkeypatch):
+    def test_default_worker_count_is_usable_cpus(self, pools, monkeypatch):
         spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
         base = sample_distances(spec, workers=1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert np.array_equal(sample_distances(spec), base)
-        assert pool_sizes == []
+        assert pools == []  # one worker is the calling thread alone
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert np.array_equal(sample_distances(spec), base)
-        assert pool_sizes == [2]
+        assert [(p.size, p.tasks) for p in pools] == [(1, 1)]
         # Without an affinity call the CPU count stands in.
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert np.array_equal(sample_distances(spec), base)
-        assert pool_sizes == [2, 3]
+        assert [(p.size, p.tasks) for p in pools] == [(1, 1), (2, 2)]
 
     @pytest.mark.parametrize(
         "dim, num_pairs",
@@ -364,6 +380,86 @@ class TestSampleDistances:
         d = sample_distances(spec)
         se = np.sqrt((4 / 18) / 20000)
         assert abs(d.mean() - 4 / 3) < 5 * se
+
+
+class TestSharedThreads:
+    """One set of helper threads serves every row of a sweep and ends with it."""
+
+    def test_one_pool_serves_every_row(self, pools, monkeypatch):
+        # Three usable CPUs: the calling thread and two helpers. Every row
+        # has three chunks and so submits two helper tasks to the one pool.
+        config = ExperimentConfig(dims=tuple(range(1, 9)), num_pairs=3 * CHUNK_PAIRS,
+                                  seed=6, emit_gof=True, emit_histograms=True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        base = run_experiment(config)
+        assert pools == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert run_experiment(config) == base
+        assert [(p.size, p.tasks) for p in pools] == [(2, 16)]
+        assert 1 <= len(pools[0].threads) <= 2
+
+    def test_threads_end_with_the_call(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        start = threading.active_count()
+        config = ExperimentConfig(dims=(1, 2, 3), num_pairs=3 * CHUNK_PAIRS, seed=6)
+        run_experiment(config)
+        assert threading.active_count() == start
+        sample_distances(SampleSpec(dim=2, num_pairs=3 * CHUNK_PAIRS, seed=6))
+        assert threading.active_count() == start
+        rows = []
+
+        def summarize_two_rows(distances):
+            if len(rows) == 2:
+                raise RuntimeError("simulated failure in the third row")
+            rows.append(distances.size)
+            return summarize(distances)
+
+        monkeypatch.setattr("l1cube.experiment.summarize", summarize_two_rows)
+        with pytest.raises(RuntimeError, match="third row"):
+            run_experiment(config)
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("failing", ["calling", "helper"])
+    def test_a_failing_worker_stops_the_others(self, failing, monkeypatch):
+        # The failing thread's first chunk raises, while every other worker
+        # holds its first chunk until then. The error reaches the caller;
+        # each other worker ends the one chunk it holds and takes no further
+        # one. At dim 1 a chunk is one span_sum call, so no more calls start
+        # after the failure than there are other workers.
+        spec = SampleSpec(dim=1, num_pairs=64 * CHUNK_PAIRS, seed=4)
+        workers = 4
+        start = threading.active_count()
+        main = threading.main_thread()
+        failed = threading.Event()
+        lock = threading.Lock()
+        after = []
+
+        def failing_span_sum(values):
+            in_caller = threading.current_thread() is main
+            with lock:
+                fail = not failed.is_set() and in_caller == (failing == "calling")
+                if failed.is_set():
+                    after.append(in_caller)
+                elif fail:
+                    failed.set()
+            if fail:
+                raise RuntimeError("simulated draw failure")
+            # The other side holds its first chunk until the failure.
+            assert failed.wait(timeout=60)
+            return span_sum(values)
+
+        monkeypatch.setattr("l1cube.sampling.span_sum", failing_span_sum)
+        interval = sys.getswitchinterval()
+        # Threads then switch only where one blocks or numpy releases the
+        # interpreter lock, never between a failure and its closing the queue.
+        sys.setswitchinterval(10.0)
+        try:
+            with pytest.raises(RuntimeError, match="simulated draw failure"):
+                sample_distances(spec, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failed.is_set() and len(after) <= workers - 1
+        assert threading.active_count() == start
 
 
 class TestSamplerMemory:
