@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from typing import Iterable
 
 import numpy as np
 
@@ -51,6 +52,9 @@ __all__ = [
 EXACT_DENSITY_MAX_DIM = 30
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# Points per block of a piecewise evaluation: its three temporaries of this
+# many doubles stay the same size at any input length.
+_EVAL_BLOCK = 1 << 14
 
 
 class UnsupportedDimensionError(ValueError):
@@ -177,16 +181,22 @@ class PiecewisePolynomial:
         # The sorted points fall into consecutive runs: below 0, segment k's
         # [k, k+1) for k = 0..dim-1 (the last closed at dim), above dim, NaN.
         # Only the segment runs reach Horner's rule.
-        edges = [*np.searchsorted(xv, np.arange(self.dim)).tolist(),
-                 *np.searchsorted(xv, [self.dim, np.inf], side="right").tolist()]
+        edges = np.append(np.searchsorted(xv, np.arange(self.dim)),
+                          np.searchsorted(xv, [self.dim, np.inf], side="right"))
+        lo, hi, nan_from = int(edges[0]), int(edges[-2]), int(edges[-1])
         res = np.empty_like(xv)
-        res[:edges[0]] = 0.0
-        res[edges[-2]:edges[-1]] = fill_high
-        res[edges[-1]:] = np.nan
-        for k, row in enumerate(coeff_mat):
-            lo, hi = edges[k], edges[k + 1]
-            if lo < hi:
-                res[lo:hi] = _polevl(xv[lo:hi] - k, row[::-1])
+        res[:lo] = 0.0
+        res[hi:nan_from] = fill_high
+        res[nan_from:] = np.nan
+        # One Horner pass over `_EVAL_BLOCK` points at a time, each point's
+        # coefficients repeated from its segment's over the run.
+        powers = coeff_mat.T[::-1]
+        offsets = np.arange(self.dim, dtype=np.float64)
+        for start in range(lo, hi, _EVAL_BLOCK):
+            stop = min(start + _EVAL_BLOCK, hi)
+            runs = np.diff(np.clip(edges[:-1], start, stop))
+            t = xv[start:stop] - offsets.repeat(runs)
+            res[start:stop] = _polevl(t, (c.repeat(runs) for c in powers))
         if order is not None:
             unsorted = np.empty_like(res)
             unsorted[order] = res
@@ -199,7 +209,10 @@ class PiecewisePolynomial:
 
     def cdf(self, x):
         """CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 below 0, 1 above dim."""
-        return _elementwise(lambda xv: np.clip(self._eval(self._cdf_coeffs, xv, 1.0), 0.0, 1.0), x)
+        def unit(xv):
+            f = self._eval(self._cdf_coeffs, xv, 1.0)
+            return np.clip(f, 0.0, 1.0, out=f)
+        return _elementwise(unit, x)
 
     # -- exact integrals -----------------------------------------------------
 
@@ -357,12 +370,19 @@ _SQRT1_2 = 0.70710678118654752440
 _NDTR_BLOCK = 1 << 14
 
 
-def _polevl(x: np.ndarray, coeffs: tuple[float, ...] | np.ndarray) -> np.ndarray:
-    """Horner's rule as Cephes runs it: multiply, then add, highest power first."""
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
+def _polevl(x: np.ndarray, coeffs: Iterable) -> np.ndarray:
+    """Horner's rule as Cephes runs it: multiply, then add, highest power first.
+
+    Each coefficient is a scalar, or an array of one value per point. An
+    array is let go before the next coefficient is drawn, so a generator of
+    them holds one at a time.
+    """
+    coeffs = iter(coeffs)
+    out = np.full_like(x, next(coeffs))
+    for c in coeffs:
         out *= x
         out += c
+        del c
     return out
 
 

@@ -18,14 +18,17 @@ __all__ = [
 
 _BLOCK = 1 << 16
 
-# Sorted points per block of the bracketed KS evaluation.
+# Sorted points per block of the bracketed KS evaluation: the largest power
+# of two at most N/512, kept between these two, so 16 below N = 2^14 and 256
+# from N = 2^17 up. A block's first point bounds F over the block.
 _KS_STRIDE = 256
+_KS_MIN_STRIDE = 16
 # Covers float CDFs that step back by a few ulps, and the rounding of the
 # block bounds; a block is skipped only when its bound misses by more.
 _KS_SLACK = 1e-9
-# Below this many points the second call into the reference costs more than
+# Below this many points the coarse call into the reference costs more than
 # the evaluations it saves, so every point is evaluated at once.
-_KS_FULL_BELOW = 1 << 17
+_KS_FULL_BELOW = 1 << 10
 # Sorted points per batch: the gathered blocks are evaluated, and every KS
 # term is formed, this many points at a time, so the temporaries stay the
 # same size at any N.
@@ -236,21 +239,25 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
     elementwise: given an array of points it returns F at each of them (a
     callable that takes scalars only is also accepted).
 
-    F is evaluated only in the blocks of sorted points that can hold the
-    supremum. Every 256th point bounds F over the block it starts, because
-    F is nondecreasing, and blocks whose bound falls short of a value
-    already attained are skipped. The blocks that remain are evaluated in
-    batches of 64, one call of F per batch. Where every point is evaluated
-    instead, F takes them in one call, and the terms are formed in slices
-    of the same 16,384 points. The result is the same double as when every
-    point is evaluated at once.
+    From 1,024 points up, F is evaluated only in the blocks of sorted
+    points that can hold the supremum. The first point of every block
+    bounds F over the block it starts, because F is nondecreasing, and
+    blocks whose bound falls short of a value already attained are
+    skipped. A block holds the largest power of two at most N/512 points,
+    kept between 16 and 256: 16 at N = 10^4, 256 from 2^17 up. The
+    blocks that remain are evaluated 16,384 points at a time, one call of
+    F per batch. Where every point is evaluated instead, F takes them in
+    one call, and the terms are formed in slices of the same 16,384
+    points. The result is the same double as when every point is
+    evaluated at once.
     """
     xs = sample.sorted_values
     n = xs.size
     if n == 0:
         raise ValueError("KS statistic of an empty sample is undefined")
     if n >= _KS_FULL_BELOW:
-        coarse = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+        stride = min(max(1 << (n >> 9 | 1).bit_length() - 1, _KS_MIN_STRIDE), _KS_STRIDE)
+        coarse = np.append(np.arange(0, n - 1, stride), n - 1)
         f = _cdf_at(xs[coarse], reference_cdf)
         # No arrays, a step back beyond the slack, or NaN: every point is evaluated.
         if f is not None and np.all(f[1:] >= f[:-1] - _KS_SLACK):
@@ -260,10 +267,10 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
             bound = np.maximum(coarse[1:] / n - f[:-1], f[1:] - coarse[:-1] / n)
             starts = coarse[:-1][bound + _KS_SLACK >= low]
             # Past half the points, one contiguous pass costs less than the gather.
-            if 2 * starts.size * _KS_STRIDE <= n:
-                per_batch = _KS_BATCH // _KS_STRIDE
+            if 2 * starts.size * stride <= n:
+                per_batch = _KS_BATCH // stride
                 for b in range(0, starts.size, per_batch):
-                    batch = starts[b : b + per_batch, None] + np.arange(_KS_STRIDE)
+                    batch = starts[b : b + per_batch, None] + np.arange(stride)
                     idx = np.minimum(batch.ravel(), n - 1)
                     ref = np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
                     low = max(low, _ks_terms_max(idx, ref, n))

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -29,7 +30,8 @@ from l1cube import (
     theoretical_skewness,
     theoretical_variance,
 )
-from l1cube.analytic import _MAXLOG, _NDTR_BLOCK, _closed_form_density, _ndtr
+from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _NDTR_BLOCK, _closed_form_density, _ndtr
+import piecewise_reference
 
 MOMENT_DIMS = (1, 2, 3, 5, 10, 20, 30)
 
@@ -365,6 +367,60 @@ class TestPerSegmentEvaluation:
         before = x.copy()
         density.cdf(x)
         assert np.array_equal(x, before, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOneHornerPass:
+    """pdf and cdf against the per-segment Horner loops they replaced, bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_per_segment(density, x):
+        for got, want in ((density.pdf(x), piecewise_reference.pdf(density, np.ravel(x))),
+                          (density.cdf(x), piecewise_reference.cdf(density, np.ravel(x)))):
+            assert np.array_equal(np.ravel(got), want, equal_nan=True), x
+
+    @pytest.mark.parametrize("dim", [*range(1, EXACT_DENSITY_MAX_DIM + 1), 100])
+    def test_every_input_kind(self, dim):
+        # Sorted and unsorted, NaN and +-inf, the integer knots, exactly
+        # dim and their neighbours, 2-D and empty input.
+        density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else _closed_form_density(dim)
+        for x in evaluation_inputs(dim).values():
+            self.assert_equal_to_per_segment(density, x)
+        for x in evaluation_scalars(dim):
+            self.assert_equal_to_per_segment(density, np.array([x], dtype=np.float64))
+
+    @pytest.mark.parametrize("dim", [1, 30])
+    @pytest.mark.parametrize("inside", [_EVAL_BLOCK - 1, _EVAL_BLOCK, _EVAL_BLOCK + 1,
+                                        2 * _EVAL_BLOCK + 1])
+    def test_sizes_around_the_block(self, dim, inside):
+        # `inside` points in [0, dim], a block boundary away, behind a run
+        # below 0 so that the first block starts past index 0.
+        density = exact_density(dim)
+        rng = np.random.default_rng(inside + dim)
+        points = np.sort(rng.uniform(0.0, dim, inside))
+        points[[0, -1]] = 0.0, dim
+        x = np.concatenate([[-np.inf, -2.0, -1e-300], points, [dim + 1e-9, np.inf, np.nan]])
+        self.assert_equal_to_per_segment(density, x)
+        self.assert_equal_to_per_segment(density, rng.permutation(x))
+
+
+class TestEvaluationMemory:
+    """A piecewise evaluation holds its output and one block's temporaries."""
+
+    def test_peak_of_a_million_sorted_points(self):
+        # 10^6 points over [-1, 31] at dim 30: 62 blocks of Horner. The bound
+        # is the output and four arrays of a block's doubles; a second
+        # N-length array (a copy, a clip into a new array) would pass it.
+        density = exact_density(30)
+        x = np.linspace(-1.0, 31.0, 1_000_000)
+        density.cdf(x[:8])  # builds the float coefficients outside the trace
+        tracemalloc.start()
+        try:
+            f = density.cdf(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.nbytes + 4 * 8 * _EVAL_BLOCK
 
 
 def _curves(dim):

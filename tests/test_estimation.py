@@ -14,6 +14,7 @@ from l1cube import (
     NormalApprox,
     SampleSpec,
     build_histogram,
+    derive_seed,
     exact_density,
     ks_critical_value,
     ks_statistic,
@@ -484,6 +485,27 @@ class TestKsBlocks:
         assert batches and max(batches) <= estimation._KS_BATCH
         assert sum(batches) == gathered
 
+    @pytest.mark.parametrize("seed, evaluated", [(1, 67_464), (2, 68_264)])
+    def test_bracketed_at_ten_thousand_points(self, seed, evaluated):
+        # gof-exact's rows: dims 1-30 at 10^4 points, seeded as the CLI
+        # seeds them. Blocks hold 16 points at this N, so the coarse call
+        # takes every 16th point and the last; then the gathered blocks come
+        # in batches. Both references are evaluated at about 11% of the
+        # 600,000 points a pass over every point takes.
+        n, total = 10_000, 0
+        for dim in range(1, 31):
+            spec = SampleSpec(dim, n, seed=derive_seed(seed, dim))
+            e = EmpiricalCdf.from_values(sample_distances(spec))
+            for reference in _reference_cdfs(dim):
+                self.assert_matches(e, reference)
+                sizes = []
+                ks_statistic(e, lambda x: sizes.append(x.size) or reference(x))
+                coarse, *batches = sizes
+                assert coarse == 626 and batches and max(batches) <= estimation._KS_BATCH
+                assert sum(sizes) < n / 4
+                total += sum(sizes)
+        assert total == evaluated <= 0.15 * 30 * 2 * n
+
     def test_evaluates_a_fraction_of_points(self):
         # At sweep-heavy's 10^6 points per row, the blocks that can hold the
         # supremum hold about 7% (normal) and 12% (exact) of them at dim 5.
@@ -520,9 +542,9 @@ class TestKsBlocks:
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_batches_of_any_size(self, batch, monkeypatch):
-        # Batches of one and of three blocks, so that both paths take many
-        # batches at these sizes: the gathered blocks, and the terms of the
-        # full pass.
+        # Batches of one and of three 256-point blocks, so that both paths
+        # take many batches at these sizes: the gathered blocks, and the
+        # terms of the full pass.
         monkeypatch.setattr(estimation, "_KS_BATCH", batch * self.STRIDE)
         refs = _reference_cdfs(3)
         for n in [1000, self.FULL_BELOW + 3 * self.STRIDE + 5, 300_000]:
@@ -569,9 +591,10 @@ class TestKsBlocks:
 
     @pytest.mark.usefixtures("blocks_at_any_size")
     def test_supremum_in_last_partial_block(self):
-        # Blocks start at 0, 256, ..., 1792; the last one is partial. F is flat
-        # from point 1850 on and jumps to 1 at the last point, so the
-        # supremum is (n - 1)/n - F(n - 2), inside that block.
+        # Blocks hold 16 points at this n and start at 0, 16, ..., 1984; the
+        # last one is partial. F is flat from point 1850 on and jumps to 1 at
+        # the last point, so the supremum is (n - 1)/n - F(n - 2), inside
+        # that block.
         n = 2000
         table = [(min(i, 1850) + 0.5) / n for i in range(n - 1)] + [1.0]
         sample, reference = _table_reference(table)
@@ -580,10 +603,11 @@ class TestKsBlocks:
 
     @pytest.mark.usefixtures("blocks_at_any_size")
     def test_supremum_beyond_a_bound_by_a_backward_step(self):
-        # Block 2 (points 512..767) is flat, so its D+ bound 768/n - F(512)
-        # is attained at point 767, up to the 1e-15 that F steps back there.
+        # Blocks hold 16 points at this n. Block 47 (points 752..767) is
+        # flat, so its D+ bound 768/n - F(752) is attained at point 767, up
+        # to the 1e-15 that F steps back there.
         # The bound sits 5e-16 under the value the coarse point 1280 attains,
-        # so only the slack keeps block 2, and its supremum, from being skipped.
+        # so only the slack keeps block 47, and its supremum, from being skipped.
         n, low = 2000, 0.3
         flat = 768 / n - low + 5e-16
         table = [min((i + 0.5) / n, flat) for i in range(767)] + [flat - 1e-15, flat + 1 / n]
@@ -591,7 +615,7 @@ class TestKsBlocks:
         table += [max(1280 / n + low, (i + 0.5) / n) for i in range(1280, n)]
         sample, reference = _table_reference(table)
         supremum = full_ks(sample, reference)
-        assert 768 / n - table[512] < table[1280] - 1280 / n < supremum == 768 / n - table[767]
+        assert 768 / n - table[752] < table[1280] - 1280 / n < supremum == 768 / n - table[767]
         assert ks_statistic(sample, reference) == supremum
 
     def test_precomputed_reference_of_the_wrong_shape(self):
