@@ -52,8 +52,8 @@ __all__ = [
 EXACT_DENSITY_MAX_DIM = 30
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# Points per block of a piecewise evaluation: its three temporaries of this
-# many doubles stay the same size at any input length.
+# Points per block of an elementwise evaluation (a piecewise polynomial, or
+# the normal CDF): its temporaries stay the same size at any input length.
 _EVAL_BLOCK = 1 << 14
 
 
@@ -366,8 +366,6 @@ _NDTR_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.2048953980
            1.70814450747565897222E1, 9.60896809063285307350E0, 3.36907645100081516050E0)
 _MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX): exp(-x^2) underflows beyond it
 _SQRT1_2 = 0.70710678118654752440
-# Points per block: bounds the temporaries whatever the input length.
-_NDTR_BLOCK = 1 << 14
 
 
 def _polevl(x: np.ndarray, coeffs: Iterable) -> np.ndarray:
@@ -394,8 +392,8 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     rounds some points differently, depending on its SIMD dispatch.
     """
     out = np.empty_like(a)
-    for lo in range(0, a.size, _NDTR_BLOCK):
-        block = slice(lo, lo + _NDTR_BLOCK)
+    for lo in range(0, a.size, _EVAL_BLOCK):
+        block = slice(lo, lo + _EVAL_BLOCK)
         x = a[block] * _SQRT1_2
         with np.errstate(over="ignore"):  # z = inf only where the CDF is 0 or 1
             z = x * x

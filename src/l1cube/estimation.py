@@ -19,16 +19,15 @@ __all__ = [
 _BLOCK = 1 << 16
 
 # Sorted points per block of the bracketed KS evaluation: the largest power
-# of two at most N/512, kept between these two, so 16 below N = 2^14 and 256
-# from N = 2^17 up. A block's first point bounds F over the block.
+# of two at most N / _KS_BLOCKS, kept between _KS_MIN_STRIDE and _KS_STRIDE,
+# so 16 below N = 2^14 and 256 from N = 2^17 up. A block's first point
+# bounds F over the block.
 _KS_STRIDE = 256
 _KS_MIN_STRIDE = 16
+_KS_BLOCKS = 512
 # Covers float CDFs that step back by a few ulps, and the rounding of the
 # block bounds; a block is skipped only when its bound misses by more.
 _KS_SLACK = 1e-9
-# Below this many points the coarse call into the reference costs more than
-# the evaluations it saves, so every point is evaluated at once.
-_KS_FULL_BELOW = 1 << 10
 # Sorted points per batch: the gathered blocks are evaluated, and every KS
 # term is formed, this many points at a time, so the temporaries stay the
 # same size at any N.
@@ -239,14 +238,16 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
     elementwise: given an array of points it returns F at each of them (a
     callable that takes scalars only is also accepted).
 
-    From 1,024 points up, F is evaluated only in the blocks of sorted
-    points that can hold the supremum. The first point of every block
-    bounds F over the block it starts, because F is nondecreasing, and
-    blocks whose bound falls short of a value already attained are
-    skipped. A block holds the largest power of two at most N/512 points,
-    kept between 16 and 256: 16 at N = 10^4, 256 from 2^17 up. The
-    blocks that remain are evaluated 16,384 points at a time, one call of
-    F per batch. Where every point is evaluated instead, F takes them in
+    F is evaluated only in the blocks of sorted points that can hold the
+    supremum. The first point of every block bounds F over the block it
+    starts, because F is nondecreasing, and blocks whose bound falls short
+    of a value already attained are skipped. A block holds the largest
+    power of two at most N/512 points, kept between 16 and 256: 16 up to
+    N = 2^14 - 1 (10^4 included), 256 from 2^17 up. The blocks that remain
+    are evaluated 16,384 points at a time, one call of F per batch. Where
+    every point is evaluated instead (F takes scalars only, does not
+    return one value per point or is not nondecreasing at the block
+    starts, or the blocks left hold over half the points), F takes them in
     one call, and the terms are formed in slices of the same 16,384
     points. The result is the same double as when every point is
     evaluated at once.
@@ -255,26 +256,27 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
     n = xs.size
     if n == 0:
         raise ValueError("KS statistic of an empty sample is undefined")
-    if n >= _KS_FULL_BELOW:
-        stride = min(max(1 << (n >> 9 | 1).bit_length() - 1, _KS_MIN_STRIDE), _KS_STRIDE)
-        coarse = np.append(np.arange(0, n - 1, stride), n - 1)
-        f = _cdf_at(xs[coarse], reference_cdf)
-        # No arrays, a step back beyond the slack, or NaN: every point is evaluated.
-        if f is not None and np.all(f[1:] >= f[:-1] - _KS_SLACK):
-            low = _ks_terms_max(coarse, f, n)
-            # Block j holds sorted indices coarse[j] .. coarse[j + 1] - 1. As F is
-            # nondecreasing, F(x_(coarse[j])) <= F there <= F(x_(coarse[j + 1])).
-            bound = np.maximum(coarse[1:] / n - f[:-1], f[1:] - coarse[:-1] / n)
-            starts = coarse[:-1][bound + _KS_SLACK >= low]
-            # Past half the points, one contiguous pass costs less than the gather.
-            if 2 * starts.size * stride <= n:
-                per_batch = _KS_BATCH // stride
-                for b in range(0, starts.size, per_batch):
-                    batch = starts[b : b + per_batch, None] + np.arange(stride)
-                    idx = np.minimum(batch.ravel(), n - 1)
-                    ref = np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
-                    low = max(low, _ks_terms_max(idx, ref, n))
-                return low
+    stride = _KS_MIN_STRIDE
+    while stride < _KS_STRIDE and 2 * stride * _KS_BLOCKS <= n:
+        stride *= 2
+    coarse = np.append(np.arange(0, n - 1, stride), n - 1)
+    f = _cdf_at(xs[coarse], reference_cdf)
+    # No arrays, a step back beyond the slack, or NaN: every point is evaluated.
+    if f is not None and np.all(f[1:] >= f[:-1] - _KS_SLACK):
+        low = _ks_terms_max(coarse, f, n)
+        # Block j holds sorted indices coarse[j] .. coarse[j + 1] - 1. As F is
+        # nondecreasing, F(x_(coarse[j])) <= F there <= F(x_(coarse[j + 1])).
+        bound = np.maximum(coarse[1:] / n - f[:-1], f[1:] - coarse[:-1] / n)
+        starts = coarse[:-1][bound + _KS_SLACK >= low]
+        # Past half the points, one contiguous pass costs less than the gather.
+        if 2 * starts.size * stride <= n:
+            per_batch = _KS_BATCH // stride
+            for b in range(0, starts.size, per_batch):
+                batch = starts[b : b + per_batch, None] + np.arange(stride)
+                idx = np.minimum(batch.ravel(), n - 1)
+                ref = np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
+                low = max(low, _ks_terms_max(idx, ref, n))
+            return low
     ref = _cdf_at(xs, reference_cdf)
     if ref is None:
         ref = np.array([float(reference_cdf(v)) for v in xs])

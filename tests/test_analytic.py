@@ -30,7 +30,7 @@ from l1cube import (
     theoretical_skewness,
     theoretical_variance,
 )
-from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _NDTR_BLOCK, _closed_form_density, _ndtr
+from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _closed_form_density, _ndtr
 import piecewise_reference
 
 MOMENT_DIMS = (1, 2, 3, 5, 10, 20, 30)
@@ -626,7 +626,7 @@ class TestNdtrParity:
         self.assert_matches_scipy(a)
         self.assert_matches_scipy(np.sort(a))
 
-    @pytest.mark.parametrize("n", [_NDTR_BLOCK - 1, _NDTR_BLOCK, _NDTR_BLOCK + 1])
+    @pytest.mark.parametrize("n", [_EVAL_BLOCK - 1, _EVAL_BLOCK, _EVAL_BLOCK + 1])
     def test_block_boundaries(self, n):
         self.assert_matches_scipy(np.linspace(-30.0, 30.0, n))
 

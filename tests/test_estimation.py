@@ -436,12 +436,8 @@ class TestKsBlocks:
     """ks_statistic skips blocks of sorted points; it must return full_ks's double."""
 
     STRIDE = estimation._KS_STRIDE
-    FULL_BELOW = estimation._KS_FULL_BELOW
-
-    @pytest.fixture
-    def blocks_at_any_size(self, monkeypatch):
-        # Take the block path at every N, so small constructed samples reach it.
-        monkeypatch.setattr(estimation, "_KS_FULL_BELOW", 0)
+    # From this N up, blocks hold STRIDE points.
+    TOP = 1 << 17
 
     @staticmethod
     def assert_matches(sample, reference):
@@ -449,25 +445,34 @@ class TestKsBlocks:
 
     @pytest.mark.parametrize("dim", [*range(1, 31), 50, 100])
     def test_dims_against_both_references(self, dim):
-        # Just past the threshold, with a partial last block.
-        n = self.FULL_BELOW + self.STRIDE + 3
+        # Just past the size where blocks reach 256 points, with a partial
+        # last block.
+        n = self.TOP + self.STRIDE + 3
         e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, n, seed=dim)))
         for reference in _reference_cdfs(dim):
             self.assert_matches(e, reference)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sizes_up_past_the_threshold(self, seed, monkeypatch):
-        t, m = self.FULL_BELOW, self.STRIDE
+    def test_sizes_up_past_the_threshold(self, seed):
+        # Sizes from one point up past 2^17, where blocks reach 256 points:
+        # each block size (the largest power of two at most N/512, kept
+        # between 16 and 256) and each boundary between two of them. The
+        # coarse call takes every block's first point and the last point.
+        m, t = self.STRIDE, self.TOP
         refs = _reference_cdfs(3)
-        for n in [t - 1, t, t + 1, t + m - 1, t + m, 2 * t + 2 * m + 1]:
+        for n in [1, 2, 3, 4, 15, 16, 17, 31, 32, 33, m - 1, m, m + 1, 2 * m + 1, 1000, 4097]:
             e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=seed)))
             for reference in refs:
                 self.assert_matches(e, reference)
-        monkeypatch.setattr(estimation, "_KS_FULL_BELOW", 0)
-        for n in [2, 3, 4, m - 1, m, m + 1, m + 2, 2 * m - 1, 2 * m, 2 * m + 1, 1000, 4097]:
+        for n, stride in [(10**4, 16), (2**14 - 1, 16), (2**14, 32), (2**15 - 1, 32),
+                          (2**15 + 17, 64), (2**16 + 1, 128), (10**5, 128), (t - 1, 128),
+                          (t, 256), (t + m - 1, 256), (2 * t + 2 * m + 1, 256)]:
             e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=seed)))
             for reference in refs:
                 self.assert_matches(e, reference)
+                sizes = []
+                ks_statistic(e, lambda x: sizes.append(x.size) or reference(x))
+                assert sizes[0] == -(-(n - 1) // stride) + 1
 
     @pytest.mark.parametrize("dim", [1, 5, 20])
     def test_million_points(self, dim):
@@ -518,9 +523,10 @@ class TestKsBlocks:
 
     @pytest.mark.parametrize("dim, n", [(1, 131_072), (1, 200_000), (5, 131_072)])
     def test_full_pass_when_most_blocks_can_win(self, dim, n):
-        # Just past the threshold the sample fits its exact reference so well
-        # that blocks holding over half the points could hold the supremum.
-        # One contiguous pass then replaces the gathered second call.
+        # At and just past 2^17 points, where blocks first hold 256 points,
+        # the sample fits its exact reference so well that blocks holding
+        # over half the points could hold the supremum. One contiguous pass
+        # then replaces the gathered second call.
         e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, n, seed=dim)))
         for reference in _reference_cdfs(dim):
             self.assert_matches(e, reference)
@@ -547,7 +553,7 @@ class TestKsBlocks:
         # terms of the full pass.
         monkeypatch.setattr(estimation, "_KS_BATCH", batch * self.STRIDE)
         refs = _reference_cdfs(3)
-        for n in [1000, self.FULL_BELOW + 3 * self.STRIDE + 5, 300_000]:
+        for n in [1000, self.TOP + 3 * self.STRIDE + 5, 300_000]:
             e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=n)))
             for reference in refs:
                 self.assert_matches(e, reference)
@@ -555,11 +561,9 @@ class TestKsBlocks:
         n = 3 * batch * self.STRIDE + 1
         sample, reference = _table_reference([(i + 0.5) / n for i in range(n - 1)] + [0.2])
         assert ks_statistic(sample, reference) == full_ks(sample, reference) == 1.0 - 0.2
-        monkeypatch.setattr(estimation, "_KS_FULL_BELOW", 0)
         e = EmpiricalCdf.from_values(np.random.default_rng(7).random(5000))
         self.assert_matches(e, lambda x: np.floor(np.asarray(x) * 7) / 7)
 
-    @pytest.mark.usefixtures("blocks_at_any_size")
     @pytest.mark.parametrize("n", [5000, 300_000])
     @pytest.mark.parametrize(
         "reference",
@@ -581,7 +585,6 @@ class TestKsBlocks:
         e = EmpiricalCdf.from_values(np.random.default_rng(n).random(n))
         self.assert_matches(e, reference)
 
-    @pytest.mark.usefixtures("blocks_at_any_size")
     def test_supremum_in_first_block(self):
         # F jumps to 0.3 at point 5, inside block 0: F(5) - 5/n is the supremum.
         n = 2000
@@ -589,7 +592,6 @@ class TestKsBlocks:
             [(i + 0.5) / n if i < 5 else max(0.3, (i + 0.5) / n) for i in range(n)])
         assert ks_statistic(sample, reference) == full_ks(sample, reference) == 0.3 - 5 / n
 
-    @pytest.mark.usefixtures("blocks_at_any_size")
     def test_supremum_in_last_partial_block(self):
         # Blocks hold 16 points at this n and start at 0, 16, ..., 1984; the
         # last one is partial. F is flat from point 1850 on and jumps to 1 at
@@ -601,7 +603,6 @@ class TestKsBlocks:
         assert ks_statistic(sample, reference) == full_ks(sample, reference)
         assert full_ks(sample, reference) == (n - 1) / n - table[n - 2]
 
-    @pytest.mark.usefixtures("blocks_at_any_size")
     def test_supremum_beyond_a_bound_by_a_backward_step(self):
         # Blocks hold 16 points at this n. Block 47 (points 752..767) is
         # flat, so its D+ bound 768/n - F(752) is attained at point 767, up
@@ -621,13 +622,15 @@ class TestKsBlocks:
     def test_precomputed_reference_of_the_wrong_shape(self):
         # A callable that ignores its argument and returns F at every sorted
         # point, as perfbench's replica passes: the full path answers.
-        n = self.FULL_BELOW + 1
+        n = 10_000
         e = EmpiricalCdf.from_values(sample_distances(SampleSpec(2, n, seed=9)))
         ref = exact_density(2).cdf(e.sorted_values)
         assert ks_statistic(e, lambda _: ref) == full_ks(e, exact_density(2).cdf)
 
     def test_scalar_only_reference_past_the_threshold(self):
-        e = EmpiricalCdf.from_values(np.linspace(-2, 2, self.FULL_BELOW + 1))
+        # Past 2^17 points, a callable that takes scalars only still gets
+        # every point, one at a time.
+        e = EmpiricalCdf.from_values(np.linspace(-2, 2, self.TOP + 1))
         self.assert_matches(e, lambda x: 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2))))
 
 
