@@ -456,17 +456,15 @@ class TestKsBlocks:
     def test_sizes_up_past_the_threshold(self, seed):
         # Sizes from one point up past 2^17, where blocks reach 256 points:
         # each block size (the largest power of two at most N/512, kept
-        # between 16 and 256) and each boundary between two of them. The
-        # coarse call takes every block's first point and the last point.
+        # between 16 and 256) and each boundary between two of them. At
+        # every size the first call of F is the coarse one: every block's
+        # first point and the last point.
         m, t = self.STRIDE, self.TOP
         refs = _reference_cdfs(3)
-        for n in [1, 2, 3, 4, 15, 16, 17, 31, 32, 33, m - 1, m, m + 1, 2 * m + 1, 1000, 4097]:
-            e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=seed)))
-            for reference in refs:
-                self.assert_matches(e, reference)
-        for n, stride in [(10**4, 16), (2**14 - 1, 16), (2**14, 32), (2**15 - 1, 32),
-                          (2**15 + 17, 64), (2**16 + 1, 128), (10**5, 128), (t - 1, 128),
-                          (t, 256), (t + m - 1, 256), (2 * t + 2 * m + 1, 256)]:
+        small = [1, 2, 3, 4, 15, 16, 17, 31, 32, 33, m - 1, m, m + 1, 2 * m + 1, 1000, 4097]
+        for n, stride in [*((n, 16) for n in small), (10**4, 16), (2**14 - 1, 16), (2**14, 32),
+                          (2**15 - 1, 32), (2**15 + 17, 64), (2**16 + 1, 128), (10**5, 128),
+                          (t - 1, 128), (t, 256), (t + m - 1, 256), (2 * t + 2 * m + 1, 256)]:
             e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=seed)))
             for reference in refs:
                 self.assert_matches(e, reference)
