@@ -234,23 +234,18 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
 
     The statistic is sup_x |F_N(x) - F(x)|, taken at both one-sided limits
     of every sample point: max over i of max(i/N - F(x_(i)), F(x_(i)) -
-    (i-1)/N). `reference_cdf` must be a nondecreasing CDF applied
-    elementwise: given an array of points it returns F at each of them (a
-    callable that takes scalars only is also accepted).
+    (i-1)/N). `reference_cdf` must be a nondecreasing CDF, applied
+    elementwise, that returns a number at every sample point (NaN raises
+    ValueError).
 
-    F is evaluated only in the blocks of sorted points that can hold the
-    supremum. The first point of every block bounds F over the block it
-    starts, because F is nondecreasing, and blocks whose bound falls short
-    of a value already attained are skipped. A block holds the largest
-    power of two at most N/512 points, kept between 16 and 256: 16 up to
-    N = 2^14 - 1 (10^4 included), 256 from 2^17 up. The blocks that remain
-    are evaluated 16,384 points at a time, one call of F per batch. Where
-    every point is evaluated instead (F takes scalars only, does not
-    return one value per point or is not nondecreasing at the block
-    starts, or the blocks left hold over half the points), F takes them in
-    one call, and the terms are formed in slices of the same 16,384
-    points. The result is the same double as when every point is
-    evaluated at once.
+    F is called on the first point of every block of sorted points and on
+    the last, then on the blocks that can hold the supremum, 16,384 points
+    a call. A block's first point bounds F over it, and blocks whose bound
+    falls short of a value already attained are skipped, unless F steps
+    back at the block starts. A callable that cannot take the block starts
+    as one array (scalars only, or F at every sorted point whatever its
+    argument) is called once for every point, and no block is skipped. The
+    result is the same double as when every point is evaluated at once.
     """
     xs = sample.sorted_values
     n = xs.size
@@ -261,27 +256,27 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
         stride *= 2
     coarse = np.append(np.arange(0, n - 1, stride), n - 1)
     f = _cdf_at(xs[coarse], reference_cdf)
-    # No arrays, a step back beyond the slack, or NaN: every point is evaluated.
-    if f is not None and np.all(f[1:] >= f[:-1] - _KS_SLACK):
-        low = _ks_terms_max(coarse, f, n)
+    bracket = f is not None
+    if bracket:
+        ref_at = lambda idx: np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
+    else:
+        full = _cdf_at(xs, reference_cdf)
+        if full is None:
+            full = np.array([float(reference_cdf(v)) for v in xs])
+        f, ref_at = full[coarse], full.take
+    low = _ks_terms_max(coarse, f, n)
+    starts = coarse[:-1]
+    if bracket and np.all(f[1:] >= f[:-1] - _KS_SLACK):
         # Block j holds sorted indices coarse[j] .. coarse[j + 1] - 1. As F is
         # nondecreasing, F(x_(coarse[j])) <= F there <= F(x_(coarse[j + 1])).
         bound = np.maximum(coarse[1:] / n - f[:-1], f[1:] - coarse[:-1] / n)
-        starts = coarse[:-1][bound + _KS_SLACK >= low]
-        # Past half the points, one contiguous pass costs less than the gather.
-        if 2 * starts.size * stride <= n:
-            per_batch = _KS_BATCH // stride
-            for b in range(0, starts.size, per_batch):
-                batch = starts[b : b + per_batch, None] + np.arange(stride)
-                idx = np.minimum(batch.ravel(), n - 1)
-                ref = np.asarray(reference_cdf(xs[idx]), dtype=np.float64)
-                low = max(low, _ks_terms_max(idx, ref, n))
-            return low
-    ref = _cdf_at(xs, reference_cdf)
-    if ref is None:
-        ref = np.array([float(reference_cdf(v)) for v in xs])
-    return max(_ks_terms_max(np.arange(lo, min(lo + _KS_BATCH, n)), ref[lo : lo + _KS_BATCH], n)
-               for lo in range(0, n, _KS_BATCH))
+        starts = starts[bound + _KS_SLACK >= low]
+    per_batch = _KS_BATCH // stride
+    for b in range(0, starts.size, per_batch):
+        batch = starts[b : b + per_batch, None] + np.arange(stride)
+        idx = np.minimum(batch.ravel(), n - 1)
+        low = max(low, _ks_terms_max(idx, ref_at(idx), n))
+    return low
 
 
 def _cdf_at(points: np.ndarray, reference_cdf: Callable) -> np.ndarray | None:
@@ -297,5 +292,7 @@ def _ks_terms_max(idx: np.ndarray, ref: np.ndarray, n: int) -> float:
     """Largest KS term over the sorted indices `idx`, with F(x_(idx)) = `ref`."""
     steps = (idx + 1) / n
     d_plus = float(np.max(steps - ref))
+    if math.isnan(d_plus):
+        raise ValueError("reference_cdf returned NaN at a sample point")
     d_minus = float(np.max(ref - (steps - 1.0 / n)))
     return max(d_plus, d_minus, 0.0)

@@ -403,6 +403,25 @@ class TestKsStatistic:
         )
         assert scalar == pytest.approx(vector, abs=1e-15)
 
+    @pytest.mark.parametrize("at", [0, 16, 4999])
+    def test_nan_from_the_reference_raises(self, at):
+        # Blocks hold 16 points at this N, so sorted indices 0, 16 and N - 1
+        # are evaluated whatever is skipped. full_ks gives NaN; a number
+        # here would depend on where the NaN falls.
+        x = np.sort(np.random.default_rng(5).random(5000))
+        bad = x[at]
+        reference = lambda v: np.where(np.asarray(v) == bad, np.nan, np.clip(v, 0.0, 1.0))
+        assert math.isnan(full_ks(EmpiricalCdf(x), reference))
+        with pytest.raises(ValueError, match="reference_cdf"):
+            ks_statistic(EmpiricalCdf(x), reference)
+
+    def test_nan_from_a_scalar_only_reference_raises(self):
+        # Such a callable is evaluated at every point, and every point is read.
+        x = np.sort(np.random.default_rng(5).random(5000))
+        bad = x[7]
+        with pytest.raises(ValueError, match="reference_cdf"):
+            ks_statistic(EmpiricalCdf(x), lambda v: math.nan if v == bad else float(v))
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ks_statistic(EmpiricalCdf.from_values([]), lambda x: x)
@@ -436,12 +455,25 @@ class TestKsBlocks:
     """ks_statistic skips blocks of sorted points; it must return full_ks's double."""
 
     STRIDE = estimation._KS_STRIDE
+    BATCH = estimation._KS_BATCH
     # From this N up, blocks hold STRIDE points.
     TOP = 1 << 17
 
-    @staticmethod
-    def assert_matches(sample, reference):
-        assert ks_statistic(sample, reference) == full_ks(sample, reference)
+    @classmethod
+    def assert_matches(cls, sample, reference):
+        # F is called on the block starts and the last point (3,908 points at
+        # 10^6, within the default batch), then on batches of at most
+        # _KS_BATCH points, which a test may shrink. A call F cannot take
+        # raises before it is recorded.
+        sizes = []
+
+        def recorded(x):
+            values = reference(x)
+            sizes.append(np.size(x))
+            return values
+
+        assert ks_statistic(sample, recorded) == full_ks(sample, reference)
+        assert sizes[0] <= cls.BATCH and max(sizes[1:], default=0) <= estimation._KS_BATCH
 
     @pytest.mark.parametrize("dim", [*range(1, 31), 50, 100])
     def test_dims_against_both_references(self, dim):
@@ -519,24 +551,28 @@ class TestKsBlocks:
             ks_statistic(e, lambda x: sizes.append(x.size) or reference(x))
             self.assert_batched(n, sizes, gathered)
 
-    @pytest.mark.parametrize("dim, n", [(1, 131_072), (1, 200_000), (5, 131_072)])
-    def test_full_pass_when_most_blocks_can_win(self, dim, n):
+    @pytest.mark.parametrize(
+        "dim, n, gathered", [(1, 131_072, 131_072), (1, 200_000, 199_936), (5, 131_072, 112_640)],
+        ids=["1-131072", "1-200000", "5-131072"])
+    def test_full_pass_when_most_blocks_can_win(self, dim, n, gathered):
         # At and just past 2^17 points, where blocks first hold 256 points,
         # the sample fits its exact reference so well that blocks holding
-        # over half the points could hold the supremum. One contiguous pass
-        # then replaces the gathered second call.
+        # over half the points, or all of them, could hold the supremum.
+        # They are gathered in batches like any others: no call of F takes
+        # every point.
         e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, n, seed=dim)))
         for reference in _reference_cdfs(dim):
             self.assert_matches(e, reference)
         sizes = []
         exact = exact_density(dim).cdf
         ks_statistic(e, lambda x: sizes.append(x.size) or exact(x))
-        assert sizes == [-(-(n - 1) // self.STRIDE) + 1, n]
+        self.assert_batched(n, sizes, gathered)
+        assert gathered > n / 2
 
     @pytest.mark.parametrize(
         "dim, gathered", [(1, (256, 168_704)), (20, (49_920, 123_904))], ids=["1", "20"])
     def test_million_points_still_gathered(self, dim, gathered):
-        # The full-pass fallback leaves sweep-heavy's rows on the block path.
+        # sweep-heavy's rows gather a fraction of their points.
         n = 1_000_000
         e = EmpiricalCdf.from_values(sample_distances(SampleSpec(dim, n, seed=dim)))
         for reference, points in zip(_reference_cdfs(dim), gathered):
@@ -546,16 +582,17 @@ class TestKsBlocks:
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_batches_of_any_size(self, batch, monkeypatch):
-        # Batches of one and of three 256-point blocks, so that both paths
-        # take many batches at these sizes: the gathered blocks, and the
-        # terms of the full pass.
+        # Batches of one and of three 256-point blocks, so that the gathered
+        # blocks take many batches at these sizes, whether some blocks are
+        # skipped or, where F steps back, none is.
         monkeypatch.setattr(estimation, "_KS_BATCH", batch * self.STRIDE)
         refs = _reference_cdfs(3)
         for n in [1000, self.TOP + 3 * self.STRIDE + 5, 300_000]:
             e = EmpiricalCdf.from_values(sample_distances(SampleSpec(3, n, seed=n)))
             for reference in refs:
                 self.assert_matches(e, reference)
-        # The supremum at the last point, alone in the full pass's last slice.
+        # F steps back at the last point, so no block is skipped; the
+        # supremum sits at that point, which only the first call evaluates.
         n = 3 * batch * self.STRIDE + 1
         sample, reference = _table_reference([(i + 0.5) / n for i in range(n - 1)] + [0.2])
         assert ks_statistic(sample, reference) == full_ks(sample, reference) == 1.0 - 0.2
@@ -574,7 +611,7 @@ class TestKsBlocks:
             lambda x: np.interp(x, [0, 0.3, 0.6, 0.8, 0.9, 1], [0, 0.45, 0.45, 0.9, 0.9, 1]),
             # Steps back by 1e-15 at about half the points, within the slack.
             lambda x: np.asarray(x) - 1e-15 * (np.asarray(x) * 1e6 % 1.0 < 0.5),
-            # Not a CDF: decreasing, so the coarse points send it to the full path.
+            # Not a CDF: decreasing, so no block is skipped.
             lambda x: 1.0 - np.asarray(x),
         ],
         ids=["step-floor", "step-ceil", "flat-stretches", "steps-back", "decreasing"],
@@ -637,8 +674,8 @@ class TestKsMemory:
 
     @pytest.mark.parametrize("dim, which", [(20, "exact"), (100, "normal")])
     def test_peak_below_the_sample(self, dim, which):
-        # At 10^6 points these peaks read about 4.8 (dim 20, exact) and
-        # 2.5 MiB (dim 100, normal) against the sample's 7.6 MiB; one more
+        # At 10^6 points these peaks read about 0.97 (dim 20, exact) and
+        # 1.74 MiB (dim 100, normal) against the sample's 7.6 MiB; one more
         # array of N floats or indices would pass the sample's size.
         x = sample_distances(SampleSpec(dim, 1_000_000, seed=dim))
         x.sort()
@@ -658,19 +695,35 @@ class TestKsMemory:
 class TestKsBatchMemory:
     """KS holds one batch of 16,384 points at a time, whatever N."""
 
+    @staticmethod
+    def peak(x, reference):
+        x.sort()
+        sample = EmpiricalCdf(x)
+        reference(x[:8])  # builds any cached state outside the trace
+        tracemalloc.start()
+        try:
+            ks_statistic(sample, reference)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_of_eleven_batches(self):
         # At 10^6 points, dim 1's exact reference gathers 168,704 points: 11
         # batches. The peak reads 0.98 MiB; gathered at once, as before the
         # batches, the same blocks peaked at 6.5 MiB.
         x = sample_distances(SampleSpec(1, 1_000_000, seed=1))
-        x.sort()
-        sample = EmpiricalCdf(x)
-        exact = exact_density(1).cdf
-        exact(x[:8])  # builds any cached state outside the trace
-        tracemalloc.start()
-        try:
-            ks_statistic(sample, exact)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20
+        assert self.peak(x, exact_density(1).cdf) < 2 << 20
+
+    def test_peak_when_most_blocks_can_win(self):
+        # At 200,000 points, dim 1's exact reference gathers 199,936 points:
+        # 13 batches. The peak reads 0.90 MiB; with F called once on every
+        # point, as before, it read 2.05 MiB.
+        x = sample_distances(SampleSpec(1, 200_000, seed=1))
+        assert self.peak(x, exact_density(1).cdf) < 2 << 20
+
+    def test_peak_when_no_block_is_skipped(self):
+        # A decreasing reference steps back at the block starts, so all
+        # 300,000 points are gathered: 19 batches. The peak reads 0.77 MiB;
+        # with F called once on every point, as before, it read 2.81 MiB.
+        x = np.random.default_rng(300_000).random(300_000)
+        assert self.peak(x, lambda v: 1.0 - np.asarray(v)) < 2 << 20
