@@ -6,13 +6,17 @@ with X, Y uniform on [0, 1]; each summand has the triangular density
 mean n/3 and variance n/18, and by the central limit theorem the sum's
 distribution approaches N(n/3, n/18) as n grows.
 
-The exact density of the sum comes from its closed form, an Irwin-Hall
-style inclusion-exclusion (Hall 1927 derives it for sums of uniforms): the
+The exact density of the sum has a closed form, an Irwin-Hall style
+inclusion-exclusion (Hall 1927 derives it for sums of uniforms): the
 summand's Laplace transform 2(s - 1 + e^{-s})/s^2, raised to the n-th power
 and expanded, inverts term by term to
 
     f_n(x) = 2^n sum_j sum_i C(n,j) C(n-j,i) (-1)^(n-j-i) (x-j)_+^e / e!,
     e = 2n - 1 - i.
+
+A dimension whose predecessor is cached is built from it in one step,
+f_{n+1} = f_n * 2(1 - z), in exact integers; any other is built from the
+closed form. Both give the same integers.
 
 It is held as a piecewise polynomial: one unit-width segment per integer
 interval, coefficients in the local variable t = x - k, stored as integers
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -158,16 +163,19 @@ class PiecewisePolynomial:
 
     @cached_property
     def _cdf_coeffs(self) -> np.ndarray:
-        # Antiderivative per segment, over denominator * lcm(1..width) so that
-        # every coefficient stays an integer; the constant term is the exact
-        # cumulative mass.
-        lcm = math.lcm(*range(1, len(self.numerators[0]) + 1))
+        # Antiderivative per segment: coefficient i + 1 is numerator i over
+        # denominator * (i + 1), one correctly rounded division. The constant
+        # term is the exact cumulative mass, an integer over denominator *
+        # lcm(1..width).
+        width = len(self.numerators[0])
+        lcm = math.lcm(*range(1, width + 1))
+        weights = [lcm // (i + 1) for i in range(width)]
+        dens = [self.denominator * (i + 1) for i in range(width)]
         d = self.denominator * lcm
         rows, cum = [], 0
         for row in self.numerators:
-            anti = [c * lcm // (i + 1) for i, c in enumerate(row)]
-            rows.append([cum / d] + [c / d for c in anti])
-            cum += sum(anti)
+            rows.append([cum / d] + [c / di for c, di in zip(row, dens)])
+            cum += sum(map(mul, row, weights))
         return np.array(rows)
 
     def _eval(self, coeff_mat: np.ndarray, xv: np.ndarray, fill_high: float) -> np.ndarray:
@@ -244,23 +252,54 @@ def _closed_form_density(n: int) -> PiecewisePolynomial:
 
     On segment k the terms j <= k of the closed form are live, so segment k
     is segment k-1 shifted by one unit plus the j = k terms. Coefficients
-    are integers over (2n - 1)!.
+    are integers over (2n - 1)!; the row is built highest power first, so
+    the power e = 2n - 1 - i sits at index i with weight 2^n (2n - 1)!/e!.
     """
     top = 2 * n - 1
-    scale = math.factorial(top)
+    weights = list(accumulate(range(top, top - n, -1), mul, initial=1 << n))
     row = [0] * (top + 1)
     rows = []
     for k in range(n):
-        if k:  # Taylor shift p(t) -> p(t + 1): suffix sums, one pass per degree
-            for i in range(top):
-                row[i:] = list(accumulate(reversed(row[i:])))[::-1]
+        if k:  # Taylor shift p(t) -> p(t + 1): prefix sums, one pass per degree
+            for end in range(top + 1, 1, -1):
+                row[:end] = accumulate(row[:end])
         ck = math.comb(n, k)
         for i in range(n - k + 1):
-            e = top - i
-            term = ck * math.comb(n - k, i) * (scale // math.factorial(e))
-            row[e] += -term if (n - k - i) % 2 else term
-        rows.append(tuple(c << n for c in row))
-    return PiecewisePolynomial(tuple(rows), scale)
+            term = ck * math.comb(n - k, i) * weights[i]
+            row[i] += -term if (n - k - i) % 2 else term
+        rows.append(tuple(reversed(row)))
+    return PiecewisePolynomial(tuple(rows), math.factorial(top))
+
+
+def _next_density(prev: PiecewisePolynomial) -> PiecewisePolynomial:
+    """The density in n + 1 dimensions from `prev`, the density in n.
+
+    f_{n+1}(x) is the integral of f_n(x - z) 2(1 - z) over z in [0, 1]. On
+    segment k, with p and q the rows of segments k and k - 1 of f_n (zero
+    past its ends), that integral has the coefficients
+
+        m >= 2:  2 [p_(m-1)/m - (p_(m-2) - q_(m-2))/(m(m-1))]
+        m = 1:   2 [p_0 - sum_e q_e/(e+1)]
+        m = 0:   2 sum_e q_e/(e+2)
+
+    Over the new denominator (2n + 1)! each is an integer, so every
+    division below is exact. The sums over q are taken over lcm(1..2n + 1).
+    """
+    n = prev.dim
+    width = 2 * n
+    grow = 4 * n * (2 * n + 1)  # 2 (2n + 1)! / (2n - 1)!
+    lcm = math.lcm(*range(1, width + 2))
+    to_1 = [lcm // (e + 1) for e in range(width)]
+    to_0 = [lcm // (e + 2) for e in range(width)]
+    zero = (0,) * width
+    rows = []
+    for p, q in zip(prev.numerators + (zero,), (zero,) + prev.numerators):
+        row = [grow * sum(map(mul, q, to_0)) // lcm,
+               grow * (p[0] * lcm - sum(map(mul, q, to_1))) // lcm]
+        for m, (a, b, c) in enumerate(zip(p[1:] + (0,), p, q), start=2):
+            row.append(grow * ((m - 1) * a - b + c) // (m * (m - 1)))
+        rows.append(tuple(row))
+    return PiecewisePolynomial(tuple(rows), prev.denominator * 2 * n * (2 * n + 1))
 
 
 _density_cache: dict[int, PiecewisePolynomial] = {}
@@ -269,9 +308,10 @@ _density_cache: dict[int, PiecewisePolynomial] = {}
 def exact_density(dim: int) -> PiecewisePolynomial:
     """Exact density of the distance in `dim` dimensions.
 
-    dim = 1 is the triangular density; every dimension is built directly
-    from the closed form in the module docstring. Results are cached
-    (instances are immutable and shared).
+    dim = 1 is the triangular density. A dimension whose predecessor is
+    cached is built from it in one convolution step; any other from the
+    closed form in the module docstring. Both give the same integers.
+    Results are cached (instances are immutable and shared).
 
     Raises UnsupportedDimensionError above EXACT_DENSITY_MAX_DIM.
     """
@@ -282,8 +322,10 @@ def exact_density(dim: int) -> PiecewisePolynomial:
             "use the normal approximation instead"
         )
     if dim not in _density_cache:
+        prev = _density_cache.get(dim - 1)
+        density = _closed_form_density(dim) if prev is None else _next_density(prev)
         # Threads racing here may each build, but setdefault keeps the first.
-        _density_cache.setdefault(dim, _closed_form_density(dim))
+        _density_cache.setdefault(dim, density)
     return _density_cache[dim]
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from ._version import __version__
-from .estimation import _KS_BATCH_BYTES
+from .estimation import _KS_BATCH_BYTES, _KS_PAIR_BYTES
 from .experiment import (
     DEFAULT_BINS,
     DEFAULT_DIMS,
@@ -188,15 +188,18 @@ def _check_memory(config: ExperimentConfig) -> None:
     histogram and KS. The stages run one after another, each with working
     memory of a fixed size beside the sample: the buffers of a sampling
     worker on each usable CPU, then blocks of at most about 2 MiB, such as a
-    KS batch. With histograms, every row's bins are kept to the end of the
-    run and then written out, `_BIN_BYTES` a bin. The bound adds all of it.
+    KS batch. KS also holds arrays over its block starts, one start per 256
+    pairs, `_KS_PAIR_BYTES` a pair. With histograms, every row's bins are
+    kept to the end of the run and then written out, `_BIN_BYTES` a bin.
+    The bound adds all of it.
     Where the OS does not report its memory, nothing is checked.
     """
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         return
-    need = 8 * config.num_pairs + _usable_cpus() * _WORKER_BYTES + _KS_BATCH_BYTES
+    need = (8 * config.num_pairs + _usable_cpus() * _WORKER_BYTES + _KS_BATCH_BYTES
+            + config.num_pairs * _KS_PAIR_BYTES)
     what = f"--pairs {config.num_pairs}: a row needs"
     if config.emit_histograms:
         need += len(config.dims) * (config.bins + 1) * _BIN_BYTES

@@ -35,6 +35,11 @@ _KS_BATCH = 64 * _KS_STRIDE
 # Working memory of one batch: 16 arrays of its doubles, above the 1.9 MiB
 # peak that tracemalloc reads for a batch against either reference.
 _KS_BATCH_BYTES = 16 * 8 * _KS_BATCH
+# Working memory over the block starts, bytes per sorted point: the starts'
+# indices, points, F values and bounds, and the temporaries of the bounds,
+# are 6 doubles a start of _KS_STRIDE points, above the 40 bytes a start that
+# tracemalloc reads at 2e7 points. They are held beside the batches.
+_KS_PAIR_BYTES = 6 * 8 / _KS_STRIDE
 
 
 def ks_critical_value(n: int, significance: float) -> float:

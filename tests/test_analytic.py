@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 import tracemalloc
@@ -17,6 +18,7 @@ from scipy.special import ndtr
 
 from l1cube import (
     EXACT_DENSITY_MAX_DIM,
+    ExperimentConfig,
     NormalApprox,
     TheoreticalMoments,
     UnsupportedDimensionError,
@@ -24,13 +26,15 @@ from l1cube import (
     moments_of,
     normal_cdf,
     normal_pdf,
+    run_experiment,
     sup_distance_to_normal,
     theoretical_excess_kurtosis,
     theoretical_mean,
     theoretical_skewness,
     theoretical_variance,
 )
-from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _closed_form_density, _ndtr
+from l1cube import analytic
+from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _closed_form_density, _ndtr, _next_density
 import piecewise_reference
 
 MOMENT_DIMS = (1, 2, 3, 5, 10, 20, 30)
@@ -273,6 +277,51 @@ class TestMomentAgainstFractionOracle:
 
     def test_equals_fraction_integration_at_dim_100(self):
         assert_moments_match_oracle(_closed_form_density(100))
+
+
+@functools.cache
+def closed_form(n):
+    return _closed_form_density(n)
+
+
+class TestTwoBuilders:
+    """The one-step builder against the closed form, and which one runs."""
+
+    @pytest.mark.parametrize("n", range(1, 60))
+    def test_step_equals_closed_form(self, n):
+        step, whole = _next_density(closed_form(n)), closed_form(n + 1)
+        assert step.numerators == whole.numerators
+        assert step.denominator == whole.denominator
+        assert np.array_equal(step._pdf_coeffs, whole._pdf_coeffs)
+        assert np.array_equal(step._cdf_coeffs, whole._cdf_coeffs)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Empty the density cache and count the calls of each builder."""
+        calls = []
+        for name in ("_closed_form_density", "_next_density"):
+            real = getattr(analytic, name)
+            monkeypatch.setattr(analytic, name,
+                                lambda arg, name=name, real=real: calls.append(name) or real(arg))
+        monkeypatch.setattr(analytic, "_density_cache", {})
+        return calls
+
+    def test_ascending_dims_step_descending_dims_closed_form(self, builds, monkeypatch):
+        dims = range(1, EXACT_DENSITY_MAX_DIM + 1)
+
+        def run(order):
+            monkeypatch.setattr(analytic, "_density_cache", {})
+            builds.clear()
+            cfg = ExperimentConfig(dims=tuple(order), num_pairs=2000, seed=5, emit_gof=True)
+            rows = {row.dim: row for row in run_experiment(cfg).rows}
+            return rows, builds.count("_closed_form_density"), builds.count("_next_density")
+
+        up, closed_up, steps_up = run(dims)
+        down, closed_down, steps_down = run(reversed(dims))
+        assert (closed_up, steps_up) == (1, EXACT_DENSITY_MAX_DIM - 1)
+        assert (closed_down, steps_down) == (EXACT_DENSITY_MAX_DIM, 0)
+        assert all(row.ks_exact is not None for row in up.values())
+        assert all(up[dim] == down[dim] for dim in dims)
 
 
 class TestClosedFormBeyondCeiling:
