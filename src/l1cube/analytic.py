@@ -6,7 +6,10 @@ with X, Y uniform on [0, 1]; each summand has the triangular density
 mean n/3 and variance n/18, and by the central limit theorem the sum's
 distribution approaches N(n/3, n/18) as n grows.
 
-The exact density of the sum has a closed form, an Irwin-Hall style
+The exact density of the sum is the n-fold convolution of the triangle.
+Every dimension is built from the one below it in one step,
+f_{n+1} = f_n * 2(1 - z), in exact integers, starting at f_1 = 2(1 - z).
+The same density has a closed form, an Irwin-Hall style
 inclusion-exclusion (Hall 1927 derives it for sums of uniforms): the
 summand's Laplace transform 2(s - 1 + e^{-s})/s^2, raised to the n-th power
 and expanded, inverts term by term to
@@ -14,9 +17,8 @@ and expanded, inverts term by term to
     f_n(x) = 2^n sum_j sum_i C(n,j) C(n-j,i) (-1)^(n-j-i) (x-j)_+^e / e!,
     e = 2n - 1 - i.
 
-A dimension whose predecessor is cached is built from it in one step,
-f_{n+1} = f_n * 2(1 - z), in exact integers; any other is built from the
-closed form. Both give the same integers.
+The package does not evaluate it; the tests build it as an independent
+oracle and check that it gives the same integers as the step.
 
 It is held as a piecewise polynomial: one unit-width segment per integer
 interval, coefficients in the local variable t = x - k, stored as integers
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from operator import mul
 from typing import Iterable
 
@@ -48,12 +49,12 @@ __all__ = [
     "NormalApprox", "normal_pdf", "normal_cdf", "sup_distance_to_normal",
 ]
 
-# Ceiling for the exact density. The closed form itself holds at any
-# dimension, and its float64 CDF stays within 1.2e-16 of the exact one up to
-# at least dim 100. The ceiling stays because a sweep's rows above it would
-# switch from the normal approximation alone to an exact KS test: an output
-# change meant to land on its own, with its golden re-pinned for that one
-# cause. Callers report which backend answered.
+# Ceiling for the exact density. The step holds at any dimension, and the
+# float64 CDF stays within 1.2e-16 of the exact one up to at least dim 100.
+# The ceiling stays because a sweep's rows above it would switch from the
+# normal approximation alone to an exact KS test: an output change meant to
+# land on its own, with its golden re-pinned for that one cause. Callers
+# report which backend answered.
 EXACT_DENSITY_MAX_DIM = 30
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -247,30 +248,6 @@ class PiecewisePolynomial:
         return Fraction(total, self.denominator * lcm * q**order)
 
 
-def _closed_form_density(n: int) -> PiecewisePolynomial:
-    """The closed-form density of the distance in n dimensions, any n >= 1.
-
-    On segment k the terms j <= k of the closed form are live, so segment k
-    is segment k-1 shifted by one unit plus the j = k terms. Coefficients
-    are integers over (2n - 1)!; the row is built highest power first, so
-    the power e = 2n - 1 - i sits at index i with weight 2^n (2n - 1)!/e!.
-    """
-    top = 2 * n - 1
-    weights = list(accumulate(range(top, top - n, -1), mul, initial=1 << n))
-    row = [0] * (top + 1)
-    rows = []
-    for k in range(n):
-        if k:  # Taylor shift p(t) -> p(t + 1): prefix sums, one pass per degree
-            for end in range(top + 1, 1, -1):
-                row[:end] = accumulate(row[:end])
-        ck = math.comb(n, k)
-        for i in range(n - k + 1):
-            term = ck * math.comb(n - k, i) * weights[i]
-            row[i] += -term if (n - k - i) % 2 else term
-        rows.append(tuple(reversed(row)))
-    return PiecewisePolynomial(tuple(rows), math.factorial(top))
-
-
 def _next_density(prev: PiecewisePolynomial) -> PiecewisePolynomial:
     """The density in n + 1 dimensions from `prev`, the density in n.
 
@@ -302,16 +279,18 @@ def _next_density(prev: PiecewisePolynomial) -> PiecewisePolynomial:
     return PiecewisePolynomial(tuple(rows), prev.denominator * 2 * n * (2 * n + 1))
 
 
+# The density in one dimension: the triangle 2(1 - t) on [0, 1].
+_TRIANGLE = PiecewisePolynomial(((2, -2),), 1)
 _density_cache: dict[int, PiecewisePolynomial] = {}
 
 
 def exact_density(dim: int) -> PiecewisePolynomial:
     """Exact density of the distance in `dim` dimensions.
 
-    dim = 1 is the triangular density. A dimension whose predecessor is
-    cached is built from it in one convolution step; any other from the
-    closed form in the module docstring. Both give the same integers.
-    Results are cached (instances are immutable and shared).
+    dim = 1 is the triangular density. Any other dimension is stepped up
+    from the highest cached dimension below it, or from the triangle, one
+    convolution step at a time, and every dimension passed is cached
+    (instances are immutable and shared).
 
     Raises UnsupportedDimensionError above EXACT_DENSITY_MAX_DIM.
     """
@@ -321,12 +300,14 @@ def exact_density(dim: int) -> PiecewisePolynomial:
             f"exact density supports dim <= {EXACT_DENSITY_MAX_DIM}, got {dim}; "
             "use the normal approximation instead"
         )
-    if dim not in _density_cache:
-        prev = _density_cache.get(dim - 1)
-        density = _closed_form_density(dim) if prev is None else _next_density(prev)
+    start = dim
+    while start > 1 and start not in _density_cache:
+        start -= 1
+    density = _density_cache.get(start, _TRIANGLE)
+    for n in range(start + 1, dim + 1):
         # Threads racing here may each build, but setdefault keeps the first.
-        _density_cache.setdefault(dim, density)
-    return _density_cache[dim]
+        density = _density_cache.setdefault(n, _next_density(density))
+    return density
 
 
 def moments_of(density: PiecewisePolynomial) -> TheoreticalMoments:
@@ -376,7 +357,11 @@ class NormalApprox:
 def normal_pdf(approx: NormalApprox, x):
     """Normal density at x: float for scalar x, else x's shape; NaN at NaN, 0 at +-inf."""
     mu, sigma = approx.mean, approx.sigma
-    return _elementwise(lambda xv: np.exp(-0.5 * ((xv - mu) / sigma) ** 2) / (_SQRT2PI * sigma), x)
+
+    def pdf(xv):
+        with np.errstate(over="ignore"):  # an overflow is +-inf, where the density is 0
+            return np.exp(-0.5 * ((xv - mu) / sigma) ** 2) / (_SQRT2PI * sigma)
+    return _elementwise(pdf, x)
 
 
 def normal_cdf(approx: NormalApprox, x):
@@ -385,7 +370,11 @@ def normal_cdf(approx: NormalApprox, x):
     The standard normal CDF is Cephes `ndtr` (see `_ndtr`), bit for bit as
     scipy.special.ndtr computes it, with `exp` from the C library (libm).
     """
-    return _elementwise(lambda xv: _ndtr((xv - approx.mean) / approx.sigma), x)
+    def cdf(xv):
+        with np.errstate(over="ignore"):  # an overflow is +-inf, where the CDF is 0 or 1
+            z = (xv - approx.mean) / approx.sigma
+        return _ndtr(z)
+    return _elementwise(cdf, x)
 
 
 # Cephes ndtr (Moshier, Methods and Programs for Mathematical Functions,

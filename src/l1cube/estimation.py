@@ -196,11 +196,22 @@ def build_histogram(
         raise ValueError(f"histogram range [{lo}, {hi}] is not finite")
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    edges = np.arange(bins + 1) * ((hi - lo) / bins) + lo
-    edges[-1] = hi
+    edges = _grid(lo, hi, bins + 1)
     starts = np.searchsorted(x, edges[:-1], side="left")
     counts = np.diff(starts, append=x.size)
     return Histogram(edges, counts, density_mode)
+
+
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """`n` >= 2 evenly spaced points `lo + i * (hi - lo) / (n - 1)`, the last set to `hi`.
+
+    This is `np.linspace`'s formula, spelled out so that the histogram edges
+    and the overlay grids in the report files do not depend on numpy's
+    choice of it.
+    """
+    grid = np.arange(n) * ((hi - lo) / (n - 1)) + lo
+    grid[-1] = hi
+    return grid
 
 
 def _is_sorted(x: np.ndarray) -> bool:

@@ -24,7 +24,7 @@ from .estimation import (
     ks_statistic,
     summarize,
 )
-from .sampling import SampleSpec, _boolean, _integer, _sampler, _uint64, derive_seed
+from .sampling import _MAX_DIM, SampleSpec, _boolean, _integer, _sampler, _uint64, derive_seed
 
 __all__ = [
     "DEFAULT_DIMS", "DEFAULT_NUM_PAIRS", "ExperimentConfig", "DimensionReport",
@@ -53,7 +53,7 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _uint64("seed", self.seed))
         object.__setattr__(self, "bins", _integer("bins", self.bins, 1))
         try:
-            dims = tuple(_integer(f"dims[{i}]", d, 1) for i, d in enumerate(self.dims))
+            dims = tuple(_integer(f"dims[{i}]", d, 1, _MAX_DIM) for i, d in enumerate(self.dims))
         except TypeError:
             raise ValueError(f"dims must be a sequence of integers, got {self.dims!r}") from None
         if not dims:

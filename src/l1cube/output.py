@@ -31,6 +31,7 @@ from .analytic import (
     exact_density,
     normal_pdf,
 )
+from .estimation import _grid
 from .experiment import DimensionReport, ExperimentReport
 from .sampling import _boolean
 
@@ -163,7 +164,7 @@ def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
         _write(hist_path, _float_csv(("bin_left", "bin_right", "density"), *columns))
         paths.append(hist_path)
 
-        xs = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], OVERLAY_GRID_POINTS)
+        xs = _grid(hist.bin_edges[0], hist.bin_edges[-1], OVERLAY_GRID_POINTS)
         overlay = {"x": xs}
         if row.dim <= EXACT_DENSITY_MAX_DIM:
             overlay["exact_pdf"] = exact_density(row.dim).pdf(xs)

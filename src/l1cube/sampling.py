@@ -54,6 +54,10 @@ CHUNK_PAIRS = 1024
 _BLOCK_DRAWS = 1 << 16
 # A worker's draw and difference buffers, in bytes.
 _WORKER_BYTES = 8 * (_BLOCK_DRAWS + _BLOCK_DRAWS // 2)
+# Largest dim that can be sampled, 2^55. `_seek` sets the first of the
+# Philox counter's four 64-bit words only, and each counter value gives four
+# uniforms, so a chunk's 2 * CHUNK_PAIRS * dim uniforms fit in 4 * 2^64.
+_MAX_DIM = 4 * 2**64 // (2 * CHUNK_PAIRS)
 
 
 def _splitmix64(z: int) -> int:
@@ -75,11 +79,12 @@ def derive_seed(seed: int, key: int) -> int:
     return _splitmix64(_uint64("seed", seed) ^ _splitmix64(_integer("key", key) & _MASK64))
 
 
-def _integer(name: str, value, least: int | None = None) -> int:
+def _integer(name: str, value, least: int | None = None, most: int | None = None) -> int:
     """`value` as an int (numpy integers included), or a ValueError naming `name`.
 
     A bool is rejected too: where a count is meant, True is a caller's mistake.
-    With `least`, a value below it is rejected as well.
+    With `least`, a value below it is rejected as well, and with `most`, a
+    value above it.
     """
     try:
         if isinstance(value, (bool, np.bool_)):
@@ -89,6 +94,8 @@ def _integer(name: str, value, least: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
     return value
 
 
@@ -116,8 +123,8 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("dim", "num_pairs"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "dim", _integer("dim", self.dim, 1, _MAX_DIM))
+        object.__setattr__(self, "num_pairs", _integer("num_pairs", self.num_pairs, 1))
         object.__setattr__(self, "seed", _uint64("seed", self.seed))
 
 

@@ -1,13 +1,15 @@
 """The exact distance density by iterated rational convolution, as an oracle.
 
-l1cube builds the density of the n-dimensional distance from its closed
-form. This module builds the same density the slow, independent way: start
-from the triangular density 2 - 2t of one coordinate and convolve with it
-n - 1 times, in exact `Fraction` arithmetic on unit-width segments with
-coefficients in the local variable t = x - k. `float_projection` rounds the
-segments to the float64 pdf and cdf coefficient matrices the way the
-package's evaluation expects them, one `float(Fraction)` per coefficient,
-so the program's matrices can be compared to it with `np.array_equal`.
+l1cube builds the density of the n-dimensional distance one dimension at a
+time, each step a convolution done on integer coefficients over one common
+denominator. This module builds the same density the slow, independent
+way: start from the triangular density 2 - 2t of one coordinate and
+convolve with it n - 1 times, in exact `Fraction` arithmetic on unit-width
+segments with coefficients in the local variable t = x - k.
+`float_projection` rounds the segments to the float64 pdf and cdf
+coefficient matrices the way the package's evaluation expects them, one
+`float(Fraction)` per coefficient, so the program's matrices can be
+compared to it with `np.array_equal`.
 `fraction_moment` integrates moments of exact segments the same slow way,
 one `Fraction` product per coefficient, as the oracle for the program's
 integer `PiecewisePolynomial.moment`. `gather_eval` evaluates a coefficient

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from closed_form_reference import closed_form_density
 from convolution_reference import (
     convolution_chain,
     float_projection,
@@ -34,7 +36,7 @@ from l1cube import (
     theoretical_variance,
 )
 from l1cube import analytic
-from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _closed_form_density, _ndtr, _next_density
+from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _ndtr, _next_density
 import piecewise_reference
 
 MOMENT_DIMS = (1, 2, 3, 5, 10, 20, 30)
@@ -236,6 +238,36 @@ class TestExactDensity:
             t.join()
         assert all(r is results[0] for r in results)
 
+    def test_racing_steps_keep_one_density_per_dim(self, monkeypatch):
+        # Threads step up through the same dims of an emptied cache at once,
+        # each from whatever is cached when it starts; every dim must end up
+        # with one shared instance, the one each thread got back.
+        monkeypatch.setattr(analytic, "_density_cache", {})
+        orders = [(30, 12), (12, 30), (20, 5, 30), (7, 25), (30,), (2, 29), (16, 30), (9, 3)]
+        results = [[] for _ in orders]
+        barrier = threading.Barrier(len(orders))
+
+        def build(order, got):
+            barrier.wait()
+            got.extend((dim, exact_density(dim)) for dim in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=args) for args in zip(orders, results)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        cache = analytic._density_cache
+        assert sorted(cache) == list(range(2, EXACT_DENSITY_MAX_DIM + 1))
+        assert all(density is cache[dim] for got in results for dim, density in got)
+        assert all(len(got) == len(order) for got, order in zip(results, orders))
+        assert cache[30].numerators == closed_form(30).numerators
+
 
 @pytest.fixture(scope="module")
 def convolution_oracle():
@@ -243,7 +275,7 @@ def convolution_oracle():
 
 
 class TestAgainstConvolutionOracle:
-    """The closed form against iterated rational convolution, dim by dim.
+    """The exact densities against iterated rational convolution, dim by dim.
 
     Equal float matrices pin every pdf and cdf value the CLI reports (the
     ks_exact column and the overlay files) to the convolution engine's.
@@ -276,16 +308,16 @@ class TestMomentAgainstFractionOracle:
         assert_moments_match_oracle(exact_density(dim))
 
     def test_equals_fraction_integration_at_dim_100(self):
-        assert_moments_match_oracle(_closed_form_density(100))
+        assert_moments_match_oracle(closed_form_density(100))
 
 
 @functools.cache
 def closed_form(n):
-    return _closed_form_density(n)
+    return closed_form_density(n)
 
 
 class TestTwoBuilders:
-    """The one-step builder against the closed form, and which one runs."""
+    """The one-step builder against the test-side closed form, and how often it runs."""
 
     @pytest.mark.parametrize("n", range(1, 60))
     def test_step_equals_closed_form(self, n):
@@ -295,43 +327,43 @@ class TestTwoBuilders:
         assert np.array_equal(step._pdf_coeffs, whole._pdf_coeffs)
         assert np.array_equal(step._cdf_coeffs, whole._cdf_coeffs)
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """Empty the density cache and count the calls of each builder."""
+    def test_triangle_is_the_closed_form_at_dim_one(self):
+        assert analytic._TRIANGLE == closed_form(1)
+
+    def test_every_order_takes_the_same_steps(self, monkeypatch):
+        # With an emptied cache, each order steps once per dimension from 2
+        # to 30, whichever dimension it asks for first, and builds no other
+        # density; the rows do not depend on the order.
         calls = []
-        for name in ("_closed_form_density", "_next_density"):
-            real = getattr(analytic, name)
-            monkeypatch.setattr(analytic, name,
-                                lambda arg, name=name, real=real: calls.append(name) or real(arg))
-        monkeypatch.setattr(analytic, "_density_cache", {})
-        return calls
 
-    def test_ascending_dims_step_descending_dims_closed_form(self, builds, monkeypatch):
+        def counted(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_next_density", "PiecewisePolynomial"):
+            monkeypatch.setattr(analytic, name, counted(name, getattr(analytic, name)))
         dims = range(1, EXACT_DENSITY_MAX_DIM + 1)
-
-        def run(order):
+        runs = []
+        for order in (dims, reversed(dims), (5, 20, 3, 30, 29, 1)):
             monkeypatch.setattr(analytic, "_density_cache", {})
-            builds.clear()
+            calls.clear()
             cfg = ExperimentConfig(dims=tuple(order), num_pairs=2000, seed=5, emit_gof=True)
             rows = {row.dim: row for row in run_experiment(cfg).rows}
-            return rows, builds.count("_closed_form_density"), builds.count("_next_density")
-
-        up, closed_up, steps_up = run(dims)
-        down, closed_down, steps_down = run(reversed(dims))
-        assert (closed_up, steps_up) == (1, EXACT_DENSITY_MAX_DIM - 1)
-        assert (closed_down, steps_down) == (EXACT_DENSITY_MAX_DIM, 0)
-        assert all(row.ks_exact is not None for row in up.values())
-        assert all(up[dim] == down[dim] for dim in dims)
+            assert calls.count("_next_density") == EXACT_DENSITY_MAX_DIM - 1
+            assert calls.count("PiecewisePolynomial") == EXACT_DENSITY_MAX_DIM - 1
+            assert all(row.ks_exact is not None for row in rows.values())
+            runs.append(rows)
+        up = runs[0]
+        assert all(rows[dim] == up[dim] for rows in runs[1:] for dim in rows)
 
 
 class TestClosedFormBeyondCeiling:
-    """The closed-form builder at dim 100, past the public ceiling."""
+    """The closed-form oracle's density at dim 100, past the public ceiling."""
 
     DIM = 100
 
     @pytest.fixture(scope="class")
     def density(self):
-        return _closed_form_density(self.DIM)
+        return closed_form_density(self.DIM)
 
     def test_unit_mass_exactly(self, density):
         assert density.dim == self.DIM
@@ -390,7 +422,7 @@ class TestPerSegmentEvaluation:
     @pytest.fixture(scope="class", params=[*range(1, EXACT_DENSITY_MAX_DIM + 1), 100])
     def density(self, request):
         dim = request.param
-        return exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else _closed_form_density(dim)
+        return exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else closed_form_density(dim)
 
     @staticmethod
     def assert_equal_to_gather(density, x):
@@ -432,7 +464,7 @@ class TestOneHornerPass:
     def test_every_input_kind(self, dim):
         # Sorted and unsorted, NaN and +-inf, the integer knots, exactly
         # dim and their neighbours, 2-D and empty input.
-        density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else _closed_form_density(dim)
+        density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else closed_form_density(dim)
         for x in evaluation_inputs(dim).values():
             self.assert_equal_to_per_segment(density, x)
         for x in evaluation_scalars(dim):
@@ -474,7 +506,7 @@ class TestEvaluationMemory:
 
 def _curves(dim):
     """The four reference curves at `dim`, each as (name, f, limit at -inf, limit at +inf)."""
-    density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else _closed_form_density(dim)
+    density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else closed_form_density(dim)
     approx = NormalApprox.for_dim(dim)
     return [
         ("pdf", density.pdf, 0.0, 0.0),
@@ -489,7 +521,9 @@ class TestEvaluationContract:
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 30, 100])
     def test_no_warning_outside_support(self, dim):
-        points = [-np.inf, -1.0, dim + 1.0, np.inf]
+        # Far outside the support, standardizing overflows the normal curves.
+        big = np.finfo(np.float64).max
+        points = [-np.inf, -big, -1e200, -1.0, dim + 1.0, 1e200, big, np.inf]
         for name, f, low, high in _curves(dim):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -717,7 +751,7 @@ class TestSupDistanceToNormal:
         scaled = []
         for n in (5, 10, 30, 60, 100):
             xs = np.linspace(0.0, float(n), 20001)
-            gap = _closed_form_density(n).cdf(xs) - normal_cdf(NormalApprox.for_dim(n), xs)
+            gap = closed_form_density(n).cdf(xs) - normal_cdf(NormalApprox.for_dim(n), xs)
             scaled.append(math.sqrt(n) * float(np.max(np.abs(gap))))
         # Measured 0.041409, 0.039476, 0.038228, 0.037920 and 0.037797.
         assert all(a > b for a, b in zip(scaled, scaled[1:])), scaled

@@ -77,6 +77,19 @@ class TestUsageErrorExitCodes:
         assert outs == ""
         assert not out.exists()
 
+    def test_huge_dimension_rejected_before_output(self, tmp_path, capsys):
+        # Used to exit 1 with numpy's "Python int too large to convert to C
+        # long", after creating the out dir.
+        out = tmp_path / "never"
+        code, outs, err = run_cli(
+            ["--dims", "100000000000000000000", "--pairs", "2", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert err == ("l1cube: error: --dims: dims[0] must be <= 36028797018963968, "
+                       "got 100000000000000000000\n")
+        assert outs == ""
+        assert not out.exists()
+
     def test_invalid_pairs_value(self, tmp_path, capsys):
         code, _, err = run_cli(["--pairs", "-5", "--out", str(tmp_path)], capsys)
         assert code == 2

@@ -23,7 +23,7 @@ from l1cube import (
     summarize,
 )
 from l1cube import estimation
-from l1cube.analytic import _closed_form_density
+from closed_form_reference import closed_form_density
 from ks_reference import full_ks
 from pairwise_reference import span_sum as reference_span_sum
 
@@ -312,6 +312,23 @@ class TestHistogram:
         assert h.density_mode is True
 
 
+class TestGrid:
+    """The one grid formula of the histogram edges and overlay grids, against np.linspace."""
+
+    def test_equals_linspace(self):
+        # Ranges from 1e-300 to 1e300 wide, on either side of zero or across
+        # it, at 2 to 4096 points, and the report's own shapes: distances in
+        # [0, 30] at 31 edges and 512 overlay points.
+        rng = np.random.default_rng(26)
+        cases = [(0.0, 30.0, 31), (0.25, 29.5, 512), (3.0, 3.0, 2), (-1.0, 1.0, 2)]
+        for scale in 10.0 ** np.arange(-300, 301, 25):
+            for _ in range(40):
+                lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2) + rng.choice([-1.0, 0.0, 1.0]))
+                cases.append((lo * scale, hi * scale, int(rng.integers(2, 4097))))
+        for lo, hi, n in cases:
+            assert np.array_equal(estimation._grid(lo, hi, n), np.linspace(lo, hi, n)), (lo, hi, n)
+
+
 class TestEmpiricalCdf:
     def test_from_values_sorts(self):
         e = EmpiricalCdf.from_values([0.3, 0.1, 0.2])
@@ -440,7 +457,7 @@ def _reference_cdfs(dim: int) -> tuple:
     """Both references of a sweep row: the normal limit and the exact CDF."""
     approx = NormalApprox.for_dim(dim)
     # The closed form holds at any dim; exact_density stops at its ceiling.
-    density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else _closed_form_density(dim)
+    density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else closed_form_density(dim)
     return (lambda x: normal_cdf(approx, x), density.cdf)
 
 

@@ -32,6 +32,12 @@ class TestExperimentConfig:
         assert not cfg.emit_histograms
         assert not cfg.emit_gof
 
+    def test_largest_sampled_dim(self):
+        # 2^55 is the sampler's ceiling (SampleSpec's too); it is not sampled here.
+        assert ExperimentConfig(dims=(3, 2**55)).dims == (3, 2**55)
+        with pytest.raises(ValueError, match=rf"^dims\[1\] must be <= {2**55}, got {2**55 + 1}$"):
+            ExperimentConfig(dims=(3, 2**55 + 1))
+
     def test_dims_coerced_to_int_tuple(self):
         cfg = ExperimentConfig(dims=np.array([2, 4], dtype=np.int64))
         assert cfg.dims == (2, 4)

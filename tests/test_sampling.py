@@ -99,6 +99,13 @@ class TestSampleSpec:
         with pytest.raises(ValueError, match=f"got {bad}$"):
             SampleSpec(**kwargs)
 
+    def test_dim_bounded_by_the_philox_counter(self):
+        # A chunk's 2 * 1024 * dim uniforms must fit in the 4 * 2^64 that the
+        # first counter word addresses. 2^55 fits, and is not sampled here.
+        assert SampleSpec(dim=2**55, num_pairs=1, seed=0).dim == 2**55
+        with pytest.raises(ValueError, match=f"^dim must be <= {2**55}, got {2**55 + 1}$"):
+            SampleSpec(dim=2**55 + 1, num_pairs=1, seed=0)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
