@@ -251,31 +251,27 @@ class PiecewisePolynomial:
 def _next_density(prev: PiecewisePolynomial) -> PiecewisePolynomial:
     """The density in n + 1 dimensions from `prev`, the density in n.
 
-    f_{n+1}(x) is the integral of f_n(x - z) 2(1 - z) over z in [0, 1]. On
-    segment k, with p and q the rows of segments k and k - 1 of f_n (zero
-    past its ends), that integral has the coefficients
-
-        m >= 2:  2 [p_(m-1)/m - (p_(m-2) - q_(m-2))/(m(m-1))]
-        m = 1:   2 [p_0 - sum_e q_e/(e+1)]
-        m = 0:   2 sum_e q_e/(e+2)
-
-    Over the new denominator (2n + 1)! each is an integer, so every
-    division below is exact. The sums over q are taken over lcm(1..2n + 1).
+    f_{n+1}(x) is the integral of f_n(x - z) 2(1 - z) over z in [0, 1], so
+    f_{n+1}'' = 2 (f_n' - f_n + f_n(. - 1)). On segment k, with p and q the
+    rows of segments k and k - 1 of f_n (zero past its ends), coefficient
+    m >= 2 is therefore 2 [p_(m-1)/m - (p_(m-2) - q_(m-2))/(m(m-1))].
+    Coefficients 0 and 1 come from continuity: f_{n+1} starts at 0 with slope
+    2 f_n(0+) = 2 p_0, and is C^1 away from 0 (f_1 jumps only there), so each
+    later segment starts at the value and slope where the one before it ends.
+    Over the new denominator (2n + 1)! every coefficient is an integer, so
+    every division below is exact.
     """
     n = prev.dim
-    width = 2 * n
     grow = 4 * n * (2 * n + 1)  # 2 (2n + 1)! / (2n - 1)!
-    lcm = math.lcm(*range(1, width + 2))
-    to_1 = [lcm // (e + 1) for e in range(width)]
-    to_0 = [lcm // (e + 2) for e in range(width)]
-    zero = (0,) * width
+    zero = (0,) * (2 * n)
+    value, slope = 0, grow * prev.numerators[0][0]
     rows = []
     for p, q in zip(prev.numerators + (zero,), (zero,) + prev.numerators):
-        row = [grow * sum(map(mul, q, to_0)) // lcm,
-               grow * (p[0] * lcm - sum(map(mul, q, to_1))) // lcm]
+        row = [value, slope]
         for m, (a, b, c) in enumerate(zip(p[1:] + (0,), p, q), start=2):
             row.append(grow * ((m - 1) * a - b + c) // (m * (m - 1)))
         rows.append(tuple(row))
+        value, slope = sum(row), sum(m * c for m, c in enumerate(row))
     return PiecewisePolynomial(tuple(rows), prev.denominator * 2 * n * (2 * n + 1))
 
 

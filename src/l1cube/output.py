@@ -35,10 +35,7 @@ from .estimation import _grid
 from .experiment import DimensionReport, ExperimentReport
 from .sampling import _boolean
 
-__all__ = [
-    "OutputBundle", "write_bundle", "dump_report_json", "write_report_json",
-    "write_table_csv", "emit_figure_data",
-]
+__all__ = ["OutputBundle", "write_bundle"]
 
 OVERLAY_GRID_POINTS = 512
 
@@ -88,15 +85,6 @@ def _plain(value):
     return value
 
 
-def dump_report_json(report: ExperimentReport) -> str:
-    """Serialize with stable key order; includes the full config for provenance."""
-    return json.dumps(_plain(report), indent=2) + "\n"
-
-
-def write_report_json(report: ExperimentReport, path) -> Path:
-    return _write(Path(path), dump_report_json(report))
-
-
 # ---------------------------------------------------------------------------
 # Per-dimension table: table.csv and stdout
 # ---------------------------------------------------------------------------
@@ -117,12 +105,6 @@ def _render_table(report: ExperimentReport, widths: dict[str, int], cell, sep: s
     return "\n".join(lines) + "\n"
 
 
-def write_table_csv(report: ExperimentReport, path) -> Path:
-    """One CSV row per dimension, in sweep order."""
-    table = _render_table(report, dict.fromkeys(TABLE_COLUMNS, 0), _cell, ",")
-    return _write(Path(path), table)
-
-
 def print_table(report: ExperimentReport, stream) -> None:
     """The stdout table: 4-decimal cells, `-` where a row has no value."""
     gof = report.config.emit_gof
@@ -141,38 +123,19 @@ def _float_csv(header, *columns) -> str:
     return ",".join(header) + "\n" + "".join(rows)
 
 
-def emit_figure_data(report: ExperimentReport, out_dir) -> list[Path]:
-    """Write per-dimension histogram and density-overlay CSV grids.
+def _figure_files(rows: tuple[DimensionReport, ...]):
+    """(name, text) of each figure file: per row, its histogram, then its overlay."""
+    for row in rows:
+        edges = row.histogram.bin_edges
+        columns = (edges[:-1], edges[1:], row.histogram.heights)
+        yield f"hist_n{row.dim}.csv", _float_csv(("bin_left", "bin_right", "density"), *columns)
 
-    `hist_n{dim}.csv` holds bin_left, bin_right, density. `overlay_n{dim}.csv`
-    samples the reference densities on a 512-point grid over the histogram
-    range: the exact density where the exact backend applies, and the normal
-    approximation always. The exact column is simply absent above the
-    backend ceiling.
-    """
-    if any(row.histogram is None for row in report.rows):
-        raise ValueError(
-            "report has no histograms; rerun with emit_histograms (CLI: --histograms)"
-        )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for row in report.rows:
-        hist = row.histogram
-        hist_path = out_dir / f"hist_n{row.dim}.csv"
-        columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.heights)
-        _write(hist_path, _float_csv(("bin_left", "bin_right", "density"), *columns))
-        paths.append(hist_path)
-
-        xs = _grid(hist.bin_edges[0], hist.bin_edges[-1], OVERLAY_GRID_POINTS)
+        xs = _grid(edges[0], edges[-1], OVERLAY_GRID_POINTS)
         overlay = {"x": xs}
         if row.dim <= EXACT_DENSITY_MAX_DIM:
             overlay["exact_pdf"] = exact_density(row.dim).pdf(xs)
         overlay["normal_pdf"] = normal_pdf(NormalApprox.for_dim(row.dim), xs)
-        overlay_path = out_dir / f"overlay_n{row.dim}.csv"
-        _write(overlay_path, _float_csv(overlay, *overlay.values()))
-        paths.append(overlay_path)
-    return paths
+        yield f"overlay_n{row.dim}.csv", _float_csv(overlay, *overlay.values())
 
 
 @dataclass(frozen=True)
@@ -190,17 +153,36 @@ def write_bundle(
     fmt: str = "both",
     figures: bool = False,
 ) -> OutputBundle:
-    """Write the report files selected by `fmt` (csv, json or both)."""
+    """Write the report's files into `out_dir`, which is created if missing.
+
+    - `report.json` (`fmt` json or both): the whole report, its config
+      included for provenance, keys in field order.
+    - `table.csv` (`fmt` csv or both): one row per dimension in sweep order,
+      the columns `TABLE_COLUMNS`.
+    - with `figures`, for each row in turn: `hist_n{dim}.csv` (bin_left,
+      bin_right, density), then `overlay_n{dim}.csv`, the reference
+      densities on a 512-point grid over the histogram range: x, exact_pdf
+      where the exact backend applies (absent above its ceiling), and
+      normal_pdf always.
+
+    An unknown `fmt`, a `figures` that is not a bool, or `figures` for a
+    report without histograms raises ValueError before anything is written.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; use csv, json or both")
     figures = _boolean("figures", figures)
+    if figures and any(row.histogram is None for row in report.rows):
+        raise ValueError(
+            "report has no histograms; rerun with emit_histograms (CLI: --histograms)"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = None
-    table_path = None
-    if fmt in ("json", "both"):
-        report_path = write_report_json(report, out_dir / "report.json")
-    if fmt in ("csv", "both"):
-        table_path = write_table_csv(report, out_dir / "table.csv")
-    figure_files = tuple(emit_figure_data(report, out_dir)) if figures else ()
+    report_path = table_path = None
+    if fmt != "csv":
+        report_path = _write(out_dir / "report.json", json.dumps(_plain(report), indent=2) + "\n")
+    if fmt != "json":
+        table = _render_table(report, dict.fromkeys(TABLE_COLUMNS, 0), _cell, ",")
+        table_path = _write(out_dir / "table.csv", table)
+    rows = report.rows if figures else ()
+    figure_files = tuple(_write(out_dir / name, text) for name, text in _figure_files(rows))
     return OutputBundle(report_path, table_path, figure_files)

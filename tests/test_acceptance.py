@@ -17,7 +17,6 @@ from l1cube import (
     Point,
     SampleSpec,
     derive_seed,
-    emit_figure_data,
     exact_density,
     ks_statistic,
     manhattan_distance,
@@ -159,7 +158,7 @@ def test_ac6_shape_check(tmp_path):
     report = run_experiment(
         ExperimentConfig(dims=(1,), num_pairs=10_000, seed=0, emit_histograms=True)
     )
-    emit_figure_data(report, tmp_path)
+    write_bundle(report, tmp_path, fmt="csv", figures=True)
     with open(tmp_path / "overlay_n1.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     pdf = np.array([float(r["exact_pdf"]) for r in rows])

@@ -34,8 +34,6 @@ PUBLIC_NAMES = [
     "compare_to_theory",
     "derive_seed",
     "derive_stream",
-    "dump_report_json",
-    "emit_figure_data",
     "exact_density",
     "ks_critical_value",
     "ks_statistic",
@@ -52,8 +50,6 @@ PUBLIC_NAMES = [
     "theoretical_skewness",
     "theoretical_variance",
     "write_bundle",
-    "write_report_json",
-    "write_table_csv",
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,21 @@ class TestHistogram:
         with pytest.raises(ValueError, match="is not finite"):
             build_histogram([0.5, bad, 0.25], bins=3)
 
+    def test_rejects_a_range_wider_than_a_double(self):
+        # Both ends are finite but their distance is not: the edge grid used
+        # to overflow with a RuntimeWarning before a misleading edges error.
+        with pytest.raises(ValueError, match=r"range \[-1.7e\+308, 1.7e\+308\] is not finite"):
+            build_histogram([-1.7e308, 1.7e308], bins=4)
+
+    @pytest.mark.parametrize("bins", [3, 7, 30])
+    def test_widest_finite_range(self, bins):
+        # The last edge is hi itself; lo + bins * width / bins used to
+        # overflow on its way there.
+        top = sys.float_info.max
+        h = build_histogram([0.0, top], bins=bins)
+        assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == top
+        assert h.counts[0] == h.counts[-1] == 1 and h.total == 2
+
     def test_counts_partition_the_sample(self):
         # The rightmost bin is closed, so the maximum is counted too.
         x = np.array([0.0, 0.5, 1.0, 1.0])
@@ -286,6 +302,16 @@ class TestHistogram:
             Histogram(np.array([0.0, 0.0, 1.0]), np.array([1, 1]), False)
         with pytest.raises(ValueError, match="one entry per bin"):
             Histogram(np.array([0.0, 1.0]), np.array([1, 2]), False)
+
+    @pytest.mark.parametrize(
+        "edges, counts",
+        [([0.0, np.nan, 1.0], [1, 1]), ([0.0, np.inf], [1]), ([-np.inf, 0.0], [1])],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_rejects_non_finite_edges(self, edges, counts):
+        # A NaN edge used to give NaN heights, and an infinite one a height of 0.
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Histogram(edges, counts, True)
 
     def test_equality(self):
         a = build_histogram([0.1, 0.6], bins=2)

@@ -13,12 +13,17 @@ from l1cube import (
     SampleSpec,
     compare_to_theory,
     derive_seed,
-    dump_report_json,
     ks_critical_value,
     run_experiment,
     sample_distances,
     summarize,
+    write_bundle,
 )
+
+
+def _report_json(report, out_dir) -> str:
+    """The text of the report.json that `write_bundle` writes for `report`."""
+    return write_bundle(report, out_dir, fmt="json").report_json.read_bytes().decode("utf-8")
 
 
 class TestExperimentConfig:
@@ -97,16 +102,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kwargs)
 
-    def test_numpy_bools_stored_as_bool(self):
+    def test_numpy_bools_stored_as_bool(self, tmp_path):
         cfg = ExperimentConfig(
             dims=(2,), num_pairs=100, emit_gof=np.bool_(True), emit_histograms=np.bool_(False)
         )
         assert (cfg.emit_gof, cfg.emit_histograms) == (True, False)
         assert type(cfg.emit_gof) is bool and type(cfg.emit_histograms) is bool
         # A numpy bool used to reach json.dumps and fail after the whole sweep.
-        assert '"emit_gof": true' in dump_report_json(run_experiment(cfg))
+        assert '"emit_gof": true' in _report_json(run_experiment(cfg), tmp_path)
 
-    def test_numpy_integers_stored_as_int(self):
+    def test_numpy_integers_stored_as_int(self, tmp_path):
         cfg = ExperimentConfig(
             dims=(np.int32(3),), num_pairs=np.int64(500), seed=np.uint64(2**63), bins=np.int16(7)
         )
@@ -114,7 +119,8 @@ class TestExperimentConfig:
         assert values == (3, 500, 2**63, 7)
         assert all(type(v) is int for v in values)
         plain = ExperimentConfig(dims=(3,), num_pairs=500, seed=2**63, bins=7)
-        assert dump_report_json(run_experiment(cfg)) == dump_report_json(run_experiment(plain))
+        converted = _report_json(run_experiment(cfg), tmp_path / "numpy")
+        assert converted == _report_json(run_experiment(plain), tmp_path / "plain")
 
     def test_duplicate_dims_rejected(self):
         # Repeated dims would repeat a row and overwrite its figure files.

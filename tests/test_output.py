@@ -11,13 +11,9 @@ from l1cube.output import (
     _PRINT_WIDTHS,
     OVERLAY_GRID_POINTS,
     TABLE_COLUMNS,
-    dump_report_json,
-    emit_figure_data,
     format_float,
     print_table,
     write_bundle,
-    write_report_json,
-    write_table_csv,
 )
 
 
@@ -33,6 +29,16 @@ def full_report():
 @pytest.fixture(scope="module")
 def bare_report():
     return run_experiment(ExperimentConfig(dims=(3,), num_pairs=400, seed=1))
+
+
+def _report_json(report, out_dir) -> str:
+    """The text of the report.json that `write_bundle` writes for `report`."""
+    return write_bundle(report, out_dir, fmt="json").report_json.read_bytes().decode("utf-8")
+
+
+def _table_csv(report, out_dir) -> Path:
+    """The table.csv that `write_bundle` writes for `report`."""
+    return write_bundle(report, out_dir, fmt="csv").table_csv
 
 
 def _assert_rows_match(parsed_rows, report):
@@ -73,17 +79,18 @@ class TestFloatFormat:
 
 
 class TestJsonReport:
-    def test_dict_round_trip(self, full_report):
-        _assert_json_matches(json.loads(dump_report_json(full_report)), full_report)
+    def test_dict_round_trip(self, full_report, tmp_path):
+        _assert_json_matches(json.loads(_report_json(full_report, tmp_path)), full_report)
 
-    def test_dict_round_trip_without_optionals(self, bare_report):
-        _assert_json_matches(json.loads(dump_report_json(bare_report)), bare_report)
+    def test_dict_round_trip_without_optionals(self, bare_report, tmp_path):
+        _assert_json_matches(json.loads(_report_json(bare_report, tmp_path)), bare_report)
 
-    def test_dump_is_byte_stable(self, full_report):
-        assert dump_report_json(full_report) == dump_report_json(full_report)
+    def test_dump_is_byte_stable(self, full_report, tmp_path):
+        first = _report_json(full_report, tmp_path / "a")
+        assert first == _report_json(full_report, tmp_path / "b")
 
-    def test_dump_ends_with_newline_and_parses(self, full_report):
-        text = dump_report_json(full_report)
+    def test_dump_ends_with_newline_and_parses(self, full_report, tmp_path):
+        text = _report_json(full_report, tmp_path)
         assert text.endswith("\n")
         data = json.loads(text)
         assert data["variance_convention"] == "population"
@@ -91,11 +98,15 @@ class TestJsonReport:
         assert len(data["rows"]) == 3
 
     def test_file_round_trip(self, full_report, tmp_path):
-        path = write_report_json(full_report, tmp_path / "report.json")
-        assert path.read_bytes() == dump_report_json(full_report).encode("utf-8")
+        # The file is UTF-8 JSON in its one canonical spelling: two-space
+        # indent, keys in field order, one closing newline.
+        path = write_bundle(full_report, tmp_path, fmt="json").report_json
+        assert path == tmp_path / "report.json"
+        raw = path.read_bytes()
+        assert raw == (json.dumps(json.loads(raw), indent=2) + "\n").encode("utf-8")
 
-    def test_null_fields_for_unavailable_backend(self, full_report):
-        data = json.loads(dump_report_json(full_report))
+    def test_null_fields_for_unavailable_backend(self, full_report, tmp_path):
+        data = json.loads(_report_json(full_report, tmp_path))
         row50 = data["rows"][2]
         assert row50["dim"] == 50
         assert row50["ks_exact"] is None
@@ -104,7 +115,7 @@ class TestJsonReport:
 
 class TestCsvTable:
     def test_columns_and_row_count(self, full_report, tmp_path):
-        path = write_table_csv(full_report, tmp_path / "table.csv")
+        path = _table_csv(full_report, tmp_path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == TABLE_COLUMNS
@@ -115,7 +126,7 @@ class TestCsvTable:
         # floats written with 17 significant digits, so `==` holds exactly.
         kinds = {"dim": int, "gof_backend": str}
         for report in (full_report, bare_report):
-            path = write_table_csv(report, tmp_path / "table.csv")
+            path = _table_csv(report, tmp_path)
             with open(path, encoding="utf-8", newline="") as fh:
                 rows = [
                     {col: kinds.get(col, float)(rec[col]) if rec[col] else None
@@ -125,7 +136,7 @@ class TestCsvTable:
             _assert_rows_match(rows, report)
 
     def test_unix_newlines(self, full_report, tmp_path):
-        path = write_table_csv(full_report, tmp_path / "table.csv")
+        path = _table_csv(full_report, tmp_path)
         raw = path.read_bytes()
         assert b"\r" not in raw
 
@@ -144,7 +155,7 @@ class TestPrintTable:
 
 class TestFigureData:
     def test_files_and_schemas(self, full_report, tmp_path):
-        paths = emit_figure_data(full_report, tmp_path)
+        paths = write_bundle(full_report, tmp_path, figures=True).figure_files
         names = sorted(p.name for p in paths)
         assert names == [
             "hist_n1.csv", "hist_n2.csv", "hist_n50.csv",
@@ -158,13 +169,13 @@ class TestFigureData:
         assert header == ["x", "exact_pdf", "normal_pdf"]
 
     def test_exact_column_absent_above_ceiling(self, full_report, tmp_path):
-        emit_figure_data(full_report, tmp_path)
+        write_bundle(full_report, tmp_path, figures=True)
         with open(tmp_path / "overlay_n50.csv", newline="") as fh:
             header = next(csv.reader(fh))
         assert header == ["x", "normal_pdf"]
 
     def test_normal_overlay_peaks_at_the_mean(self, full_report, tmp_path):
-        emit_figure_data(full_report, tmp_path)
+        write_bundle(full_report, tmp_path, figures=True)
         with open(tmp_path / "overlay_n50.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         x = np.array([float(r["x"]) for r in rows])
@@ -173,7 +184,7 @@ class TestFigureData:
         assert abs(x[np.argmax(pdf)] - 50 / 3) <= step
 
     def test_histogram_density_integrates_to_one(self, full_report, tmp_path):
-        emit_figure_data(full_report, tmp_path)
+        write_bundle(full_report, tmp_path, figures=True)
         with open(tmp_path / "hist_n2.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         mass = sum(
@@ -183,7 +194,7 @@ class TestFigureData:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_overlay_matches_exact_density(self, full_report, tmp_path):
-        emit_figure_data(full_report, tmp_path)
+        write_bundle(full_report, tmp_path, figures=True)
         with open(tmp_path / "overlay_n2.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == OVERLAY_GRID_POINTS
@@ -193,7 +204,7 @@ class TestFigureData:
 
     def test_requires_histograms(self, bare_report, tmp_path):
         with pytest.raises(ValueError, match="histograms"):
-            emit_figure_data(bare_report, tmp_path)
+            write_bundle(bare_report, tmp_path, figures=True)
 
 
 class TestWriteBundle:
@@ -245,6 +256,26 @@ class TestWriteBundle:
         with pytest.raises(ValueError, match=f"figures must be a bool, got {figures!r}$"):
             write_bundle(full_report, tmp_path / "out", figures=figures)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"fmt": "xml"}, {"figures": "no"}, {"figures": True}],
+        ids=["unknown-format", "non-bool-figures", "figures-without-histograms"],
+    )
+    def test_refused_call_writes_nothing(self, bare_report, tmp_path, kwargs):
+        # A report without histograms and figures=True used to write
+        # report.json and table.csv before it was refused.
+        target = tmp_path / "out"
+        with pytest.raises(ValueError):
+            write_bundle(bare_report, target, **kwargs)
+        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_figures_follow_the_rows_histogram_then_overlay(self, full_report, tmp_path):
+        bundle = write_bundle(full_report, tmp_path, fmt="csv", figures=True)
+        names = [p.name for p in bundle.figure_files]
+        assert names == [f"{kind}_n{row.dim}.csv" for row in full_report.rows
+                         for kind in ("hist", "overlay")]
 
     def test_identical_runs_identical_bytes(self, tmp_path):
         cfg = ExperimentConfig(
