@@ -183,8 +183,10 @@ def build_histogram(
     observations. Edges and counts equal `np.histogram`'s: the edges are
     `lo + i * (hi - lo) / bins` with the last set to `hi` (a range of
     width 0 is widened by 0.5 on each side), and a value on an inner edge
-    falls in the bin to its right. Sorted data is counted where it lies,
-    by binary search; other data is counted in a sorted copy.
+    falls in the bin to its right. A range too narrow for `bins` bins of
+    nonzero width is refused with a ValueError, as `np.histogram` refuses
+    it. Sorted data is counted where it lies, by binary search; other data
+    is counted in a sorted copy.
     """
     x = np.asarray(distances, dtype=np.float64).ravel()
     if x.size == 0:
@@ -199,6 +201,9 @@ def build_histogram(
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = _grid(lo, hi, bins + 1)
+    # Near the ulp of its ends a range has too few doubles for `bins` edges.
+    if not np.all(edges[:-1] < edges[1:]):
+        raise ValueError(f"histogram range [{lo}, {hi}] cannot be split into {bins} bins of nonzero width")
     starts = np.searchsorted(x, edges[:-1], side="left")
     counts = np.diff(starts, append=x.size)
     return Histogram(edges, counts, density_mode)

@@ -14,10 +14,15 @@ For a row, each worker takes chunks from one shared queue and keeps one
 Philox, which it re-keys to (seed, c) at counter 0 for chunk c. A
 counter-based stream is a function of its key and counter alone, so the
 re-keyed generator yields exactly what a fresh `derive_stream(seed, c)`
-would. The worker's draw and difference buffers are reused from chunk to
-chunk within one row only, and their size is fixed whatever the dim: above
-`_BLOCK_DRAWS / 2` coordinates each pair is drawn in blocks, from two Philox
-set by their counter to where the pair's P and Q start in the chunk's stream.
+would. The calling thread allocates every worker's draw and difference
+buffers for the row and hands them over, because a helper thread allocates
+in its own malloc arena, whose freed memory the calling thread's later
+temporaries cannot reuse. What helpers still allocate is numpy's ufunc
+buffers for the strided `P - Q`, about 128 KiB per call per worker. A
+worker reuses its buffers from chunk to chunk within one row only, and their
+size is fixed whatever the dim: above `_BLOCK_DRAWS / 2` coordinates each
+pair is drawn in blocks, from two Philox set by their counter to where the
+pair's P and Q start in the chunk's stream.
 """
 
 from __future__ import annotations
@@ -197,23 +202,17 @@ def _sample(spec: SampleSpec, pool: ThreadPoolExecutor | None, workers: int) -> 
         with lock:
             return next(chunks, None)
 
-    def run_chunks() -> None:
+    def run_chunks(draws: np.ndarray, diff: np.ndarray) -> None:
         nonlocal chunks
         try:
-            # One Philox (two above `width`) and one pair of buffers per worker,
-            # reused for every chunk it takes; none of it outlives this call.
+            # One Philox (two above `width`) per worker, and the buffers it was
+            # handed, reused for every chunk it takes.
             bits = Philox(key=spec.seed)
             fresh = bits.state  # key (seed, 0), counter 0, buffer empty
             gen = Generator(bits)
             if dim > width:
                 q_bits = Philox(key=spec.seed)
                 q_gen = Generator(q_bits)
-                draws = np.empty((2, width))
-                diff = np.empty(width)
-            else:
-                rows = min(CHUNK_PAIRS, step)
-                draws = np.empty((rows, 2, dim))
-                diff = np.empty((rows, dim))
             for chunk in iter(next_chunk, None):
                 # The state a fresh derive_stream(spec.seed, chunk) starts from.
                 fresh["state"]["key"][1] = chunk
@@ -245,9 +244,18 @@ def _sample(spec: SampleSpec, pool: ThreadPoolExecutor | None, workers: int) -> 
         finally:
             chunks = iter(())  # a worker stops when the queue is empty, or fails
 
+    # This thread allocates every worker's draw and difference buffers for
+    # the row. A helper thread allocates in its own malloc arena, whose freed
+    # memory this thread's later temporaries cannot reuse.
+    if dim > width:
+        shapes = (2, width), (width,)
+    else:
+        rows = min(CHUNK_PAIRS, step)
+        shapes = (rows, 2, dim), (rows, dim)
+    buffers = [[np.empty(shape) for shape in shapes] for _ in range(min(workers, n_chunks))]
     # Should this thread fail, the pool's shutdown waits for the helpers.
-    helpers = [pool.submit(run_chunks) for _ in range(min(workers, n_chunks) - 1)]
-    run_chunks()
+    helpers = [pool.submit(run_chunks, *pair) for pair in buffers[1:]]
+    run_chunks(*buffers[0])
     for task in helpers:
         task.result()
     return out

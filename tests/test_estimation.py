@@ -248,6 +248,22 @@ class TestHistogram:
         with pytest.raises(ValueError, match=r"range \[-1.7e\+308, 1.7e\+308\] is not finite"):
             build_histogram([-1.7e308, 1.7e308], bins=4)
 
+    @pytest.mark.parametrize("data, bins, span", [
+        ([1e16], 30, r"\[1e\+16, 1e\+16\]"),
+        ([2.0**52], 3, r"\[4503599627370495.5, 4503599627370496.0\]"),
+        ([1.0, np.nextafter(1.0, 2.0)], 30, r"\[1.0, 1.0000000000000002\]"),
+    ], ids=["1e16", "2**52", "one-ulp"])
+    def test_rejects_a_range_too_narrow_for_its_bins(self, data, bins, span):
+        # The input is valid, but the range holds too few doubles for the
+        # edges; widening a one-valued sample by 0.5 moves no end at 1e16.
+        with pytest.raises(ValueError, match=f"range {span} cannot be split into {bins} bins"):
+            build_histogram(data, bins=bins)
+
+    def test_subnormal_range_still_splits(self):
+        h = build_histogram([0.0, 1e-320], bins=30)
+        assert np.all(np.diff(h.bin_edges) > 0) and h.bin_edges[-1] == 1e-320
+        assert h.total == 2
+
     @pytest.mark.parametrize("bins", [3, 7, 30])
     def test_widest_finite_range(self, bins):
         # The last edge is hi itself; lo + bins * width / bins used to

@@ -472,6 +472,29 @@ class TestSharedThreads:
 class TestSamplerMemory:
     """A worker's buffers are a fixed size at every dim."""
 
+    @pytest.mark.parametrize("dim, num_pairs", [(100, 2**17), (2**17 + 3, CHUNK_PAIRS + 1)])
+    def test_calling_thread_allocates_every_buffer(self, dim, num_pairs, pools, monkeypatch):
+        # A helper thread allocates in its own malloc arena, whose freed
+        # memory the calling thread's later temporaries cannot reuse. So the
+        # output and both workers' draw and difference buffers come from the
+        # calling thread, and the helper only fills what it is handed. Each
+        # Philox's key and counter arrays, a few words each, are numpy's own
+        # and are not counted.
+        made = []
+        empty = np.empty
+
+        def recording_empty(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            if a.nbytes > 64:
+                made.append(threading.get_ident())
+            return a
+
+        monkeypatch.setattr("l1cube.sampling.np.empty", recording_empty)
+        sample_distances(SampleSpec(dim=dim, num_pairs=num_pairs, seed=3), workers=2)
+        (pool,) = pools
+        assert pool.threads and threading.get_ident() not in pool.threads
+        assert made == [threading.get_ident()] * 5
+
     @pytest.mark.parametrize("dim, num_pairs", [(100, 2**17), (2**17 + 3, 2)])
     def test_peak_beside_the_output(self, dim, num_pairs):
         # Two workers at dim 100; one at the block-path dim, as its two pairs
