@@ -40,6 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .estimation import _is_sorted
 from .sampling import _integer
 
 __all__ = [
@@ -184,7 +185,7 @@ class PiecewisePolynomial:
         # copy; other input is sorted, then scattered back. NaN fails the
         # sortedness test and argsort puts it last.
         order = None
-        if not np.all(xv[:-1] <= xv[1:]):
+        if not _is_sorted(xv):
             order = np.argsort(xv)
             xv = xv[order]
         # The sorted points fall into consecutive runs: below 0, segment k's
@@ -340,6 +341,8 @@ class NormalApprox:
     def __post_init__(self) -> None:
         if not self.variance > 0:
             raise ValueError(f"variance must be positive, got {self.variance}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
+            raise ValueError(f"mean and variance must be finite, got {self.mean} and {self.variance}")
 
     @property
     def sigma(self) -> float:

@@ -100,11 +100,18 @@ def _parse_setting(where: str, name: str, text: str):
 def load_config_file(path) -> dict:
     """Parse a flat `key = value` file; `#` starts a comment, blanks ignored.
 
-    Every malformed, out-of-range or repeated line raises ValueError prefixed
-    with `path:lineno`.
+    The file is UTF-8, with or without a byte-order mark. Every malformed,
+    out-of-range or repeated line, and a byte that is not UTF-8, raises
+    ValueError prefixed with `path:lineno`.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

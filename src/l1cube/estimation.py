@@ -223,13 +223,13 @@ def _is_sorted(x: np.ndarray) -> bool:
     """Whether the 1-D `x` is nondecreasing with no NaN, checked `_BLOCK` values at a time.
 
     NaN compares false, so a NaN anywhere fails a comparison with a
-    neighbour; a lone value is compared to itself.
+    neighbour; a lone value is compared to itself. An empty `x` is sorted.
     """
     for i in range(0, x.size - 1, _BLOCK):
         block = x[i : i + _BLOCK + 1]  # shares its last value with the next block
         if not np.all(block[:-1] <= block[1:]):
             return False
-    return x.size > 1 or bool(x[0] == x[0])
+    return x.size != 1 or bool(x[0] == x[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +240,7 @@ class EmpiricalCdf:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.sorted_values, dtype=np.float64)
-        if v.ndim != 1 or (v.size and not _is_sorted(v)):
+        if v.ndim != 1 or not _is_sorted(v):
             raise ValueError("values must be 1-D, sorted nondecreasing and contain no NaN")
         v.setflags(write=False)
         object.__setattr__(self, "sorted_values", v)

@@ -1,4 +1,4 @@
-"""Points in the unit hypercube and the Manhattan (L1) distance kernel."""
+"""Points in the unit hypercube, the Manhattan (L1) distance, and the one float sum."""
 
 from __future__ import annotations
 
@@ -17,16 +17,16 @@ __all__ = ["Point", "manhattan_distance", "batch_distances"]
 SUM_SPAN = 1 << 13
 
 
-def span_sum(a: np.ndarray):
+def span_sum(a: np.ndarray, total=None):
     """Sum over the last axis in one fixed order, whatever numpy's buffering.
 
     Each span of at most `SUM_SPAN` elements is summed by numpy's pairwise
-    kernel (error O(eps log n)); the span sums are then added left to right.
-    Returns a float64 scalar for 1-D input, one sum per row otherwise.
+    kernel (error O(eps log n)); the span sums are added left to right, onto
+    `total` if given. A float64 scalar for 1-D input, one sum per row else.
     """
-    n = a.shape[-1]
-    total = np.add.reduce(a[..., :SUM_SPAN], axis=-1)
-    for start in range(SUM_SPAN, n, SUM_SPAN):
+    first = np.add.reduce(a[..., :SUM_SPAN], axis=-1)
+    total = first if total is None else total + first
+    for start in range(SUM_SPAN, a.shape[-1], SUM_SPAN):
         total = total + np.add.reduce(a[..., start : start + SUM_SPAN], axis=-1)
     return total
 

@@ -2,16 +2,16 @@
 
 Every CSV cell is a float in `%.17g` form or a plain token (an int, a backend
 name, or empty), written as whole lines through one row template; no cell is
-ever quoted. JSON floats take their shortest exact form, and `_write` writes
-every file as UTF-8 with `\n` line ends. So every float round-trips exactly,
-and identical reports serialize to identical bytes on any platform; golden
-tests pin the table, the JSON report and the figure files.
+ever quoted. `report.json` is the report's `dataclasses.asdict`, its floats
+in shortest exact form, and `_write` writes every file as UTF-8 with `\n`
+line ends. So every float round-trips exactly, and identical reports
+serialize to identical bytes on any platform, as golden tests pin.
 `table.csv` and the printed table share one renderer; the printed table's
 columns and widths are named in `_PRINT_WIDTHS`, next to `TABLE_COLUMNS`.
 
 A report itself is identical for an identical config because its samples
 come from Philox substreams, which are the same on every platform, and
-because every sum over them runs in one stated order (`metric.span_sum`):
+because every sum over them, the sampler's included, is `metric.span_sum`:
 numpy's pairwise kernel within fixed 8192-element spans, the spans added
 left to right. Bytes hold across numpy versions for as long as that kernel
 is unchanged; `tests/pairwise_reference.py` models it.
@@ -20,7 +20,7 @@ is unchanged; `tests/pairwise_reference.py` models it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,21 +68,6 @@ def _cell(value) -> str:
 def _write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8", newline="")
     return path
-
-
-# ---------------------------------------------------------------------------
-# JSON report
-# ---------------------------------------------------------------------------
-
-def _plain(value):
-    """Dataclasses, arrays and tuples as JSON-ready dicts and lists, in field order."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +164,8 @@ def write_bundle(
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = table_path = None
     if fmt != "csv":
-        report_path = _write(out_dir / "report.json", json.dumps(_plain(report), indent=2) + "\n")
+        text = json.dumps(asdict(report), indent=2, default=np.ndarray.tolist)
+        report_path = _write(out_dir / "report.json", text + "\n")
     if fmt != "json":
         table = _render_table(report, dict.fromkeys(TABLE_COLUMNS, 0), _cell, ",")
         table_path = _write(out_dir / "table.csv", table)

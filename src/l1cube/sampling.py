@@ -22,7 +22,8 @@ buffers for the strided `P - Q`, about 128 KiB per call per worker. A
 worker reuses its buffers from chunk to chunk within one row only, and their
 size is fixed whatever the dim: above `_BLOCK_DRAWS / 2` coordinates each
 pair is drawn in blocks, from two Philox set by their counter to where the
-pair's P and Q start in the chunk's stream.
+pair's P and Q start in the chunk's stream, and `span_sum` carries its total
+from block to block.
 """
 
 from __future__ import annotations
@@ -189,9 +190,8 @@ def _sample(spec: SampleSpec, pool: ThreadPoolExecutor | None, workers: int) -> 
     """`spec`'s distances from this thread and at most `workers - 1` tasks on `pool`."""
     dim = spec.dim
     out = np.empty(spec.num_pairs)
-    # Coordinates per block. Up to this dim whole pairs are drawn, `step` to
-    # a call; above it each pair is drawn a block at a time. A block is whole
-    # SUM_SPANs, so its span sums carry the pair's total in span_sum's order.
+    # Coordinates per block, whole SUM_SPANs so blocks keep span_sum's spans.
+    # Up to this dim whole pairs are drawn, `step` to a call, else by blocks.
     width = max(SUM_SPAN, _BLOCK_DRAWS // 2)
     step = max(1, _BLOCK_DRAWS // (2 * dim))
     n_chunks = math.ceil(spec.num_pairs / CHUNK_PAIRS)
@@ -231,15 +231,12 @@ def _sample(spec: SampleSpec, pool: ThreadPoolExecutor | None, workers: int) -> 
                         offset = 2 * dim * (i - start)
                         _seek(bits, fresh, offset)
                         _seek(q_bits, fresh, offset + dim)
-                        # 0.0 + s is s for the first, nonnegative span sum.
-                        total = 0.0
+                        total = None
                         for lo in range(0, dim, width):
                             k = min(width, dim - lo)
                             d = np.subtract(gen.random(out=draws[0, :k]),
                                             q_gen.random(out=draws[1, :k]), out=diff[:k])
-                            np.abs(d, out=d)
-                            for s in range(0, k, SUM_SPAN):
-                                total = total + np.add.reduce(d[s : s + SUM_SPAN])
+                            total = span_sum(np.abs(d, out=d), total)
                         out[i] = total
         finally:
             chunks = iter(())  # a worker stops when the queue is empty, or fails

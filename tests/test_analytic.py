@@ -626,10 +626,19 @@ class TestNormalApprox:
         assert approx.sigma == pytest.approx(math.sqrt(100 / 18))
 
     def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variance must be positive"):
             NormalApprox(mean=0.0, variance=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variance must be positive"):
             NormalApprox(mean=0.0, variance=-1.0)
+
+    @pytest.mark.parametrize(
+        "mean, variance", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf)]
+    )
+    def test_rejects_non_finite_mean_or_variance(self, mean, variance):
+        # Either would give a meaningless reference: a NaN mean makes
+        # normal_cdf NaN everywhere, an infinite variance a flat 0.5.
+        with pytest.raises(ValueError, match="mean and variance must be finite"):
+            NormalApprox(mean=mean, variance=variance)
 
     def test_pdf_peak_closed_form(self):
         approx = NormalApprox.for_dim(100)

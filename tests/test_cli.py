@@ -300,6 +300,29 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             load_config_file(cfg)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # A leading UTF-8 byte-order mark, which some editors save, is not part of
+        # the first key.
+        cfg = tmp_path / "bom.conf"
+        cfg.write_bytes(b"\xef\xbb\xbfpairs = 300\ndims = 1, 2\n")
+        assert load_config_file(cfg) == {"pairs": 300, "dims": (1, 2)}
+
+    @pytest.mark.parametrize(
+        "data, lineno, offset",
+        [(b"\xff", 1, 0), (b"dims = 1\n# caf\xe9\n", 2, 14),
+         (b"\xef\xbb\xbfdims = 1\n\xff\n", 2, 12)],
+    )
+    def test_non_utf8_file_names_file_and_line(self, tmp_path, capsys, data, lineno, offset):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_bytes(data)
+        out = tmp_path / "never"
+        code, outs, err = run_cli(["--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(f"l1cube: error: {cfg}:{lineno}: not UTF-8 text at byte {offset} (")
+        assert err.count("\n") == 1
+        assert outs == ""
+        assert not out.exists()
+
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_text("dims = 1\npairs = 300\nseed = 2\n")

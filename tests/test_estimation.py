@@ -406,6 +406,11 @@ class TestEmpiricalCdf:
         assert EmpiricalCdf(np.array([])).sorted_values.size == 0
         assert EmpiricalCdf(np.array([-np.inf, 0.5, np.inf])).sorted_values.size == 3
 
+    def test_empty_is_sorted_but_has_no_ks_statistic(self):
+        assert estimation._is_sorted(np.empty(0))
+        with pytest.raises(ValueError, match="empty sample"):
+            ks_statistic(EmpiricalCdf(np.empty(0)), lambda x: np.clip(x, 0.0, 1.0))
+
 
 class TestKsStatistic:
     def test_hand_computed_value(self):

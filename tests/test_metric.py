@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from l1cube import Point, batch_distances, manhattan_distance
+from l1cube.metric import SUM_SPAN, span_sum
 
 
 class TestPoint:
@@ -129,3 +130,20 @@ class TestBatchDistances:
     def test_accepts_generators(self):
         pairs = ((Point([0.0]), Point([x])) for x in (0.25, 0.5))
         assert batch_distances(pairs) == pytest.approx([0.25, 0.5])
+
+
+class TestSpanSum:
+    @pytest.mark.parametrize("n", [1, SUM_SPAN, 3 * SUM_SPAN + 5])
+    @pytest.mark.parametrize("rows", [(), (16,)])
+    def test_blocks_carrying_the_total_equal_the_whole_row(self, n, rows):
+        # The sampler sums a long pair in blocks of whole spans, each block
+        # adding its span sums onto the total of the ones before it; that is
+        # bit for bit the sum of the whole row.
+        a = np.random.default_rng(n).random(rows + (n,))
+        whole = span_sum(a)
+        for block in (SUM_SPAN, 2 * SUM_SPAN):
+            total = None
+            for lo in range(0, n, block):
+                total = span_sum(a[..., lo : lo + block], total)
+            assert np.shape(total) == rows
+            assert np.asarray(total).tobytes() == np.asarray(whole).tobytes()
