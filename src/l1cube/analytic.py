@@ -27,6 +27,9 @@ exact; each float64 coefficient is one correctly rounded integer division,
 cached for fast pointwise evaluation, which stays accurate because each
 segment is evaluated by Horner's rule at t in [0, 1] rather than through
 globally huge powers of x.
+
+`_reference_laws(dim)` names the laws a sample is checked against: the exact
+density up to `EXACT_DENSITY_MAX_DIM`, and its normal limit at every dim.
 """
 
 from __future__ import annotations
@@ -47,15 +50,15 @@ __all__ = [
     "EXACT_DENSITY_MAX_DIM", "UnsupportedDimensionError", "theoretical_mean",
     "theoretical_variance", "theoretical_skewness", "theoretical_excess_kurtosis",
     "TheoreticalMoments", "PiecewisePolynomial", "exact_density", "moments_of",
-    "NormalApprox", "normal_pdf", "normal_cdf", "sup_distance_to_normal",
+    "NormalApprox", "normal_cdf", "sup_distance_to_normal",
 ]
 
 # Ceiling for the exact density. The step holds at any dimension, and the
 # float64 CDF stays within 1.2e-16 of the exact one up to at least dim 100.
 # The ceiling stays because a sweep's rows above it would switch from the
 # normal approximation alone to an exact KS test: an output change meant to
-# land on its own, with its golden re-pinned for that one cause. Callers
-# report which backend answered.
+# land on its own, with its golden re-pinned for that one cause. Besides
+# `exact_density`, only `_reference_laws` reads it, to choose a row's laws.
 EXACT_DENSITY_MAX_DIM = 30
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -214,8 +217,11 @@ class PiecewisePolynomial:
         return res
 
     def pdf(self, x):
-        """Density at x: float for scalar x, else x's shape; NaN at NaN, 0 outside [0, dim]."""
-        return _elementwise(lambda xv: self._eval(self._pdf_coeffs, xv, 0.0), x)
+        """Density at x, >= 0: float for scalar x, else x's shape; NaN at NaN, 0 off [0, dim]."""
+        def density(xv):
+            f = self._eval(self._pdf_coeffs, xv, 0.0)
+            return np.maximum(f, 0.0, out=f)
+        return _elementwise(density, x)
 
     def cdf(self, x):
         """CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 below 0, 1 above dim."""
@@ -311,19 +317,19 @@ def moments_of(density: PiecewisePolynomial) -> TheoreticalMoments:
     """Mean, variance, skewness and excess kurtosis by exact integration.
 
     Central moments are integrated in rational arithmetic around the exact
-    mean, so the only rounding is the final conversion to float.
+    mean. Each result is rounded once, at its conversion to float, except the
+    skewness: its square mu3^2 / mu2^3 is rounded, then its square root.
     """
     mean = density.moment(1)
     mu2 = density.moment(2, center=mean)
     mu3 = density.moment(3, center=mean)
     mu4 = density.moment(4, center=mean)
-    var = float(mu2)
     return TheoreticalMoments(
         dim=density.dim,
         mean=float(mean),
-        variance=var,
-        skewness=float(mu3) / var**1.5,
-        excess_kurtosis=float(mu4) / var**2 - 3.0,
+        variance=float(mu2),
+        skewness=math.copysign(math.sqrt(mu3**2 / mu2**3), mu3),
+        excess_kurtosis=float(mu4 / mu2**2 - 3),
     )
 
 
@@ -352,28 +358,37 @@ class NormalApprox:
     def for_dim(cls, dim: int) -> "NormalApprox":
         return cls(mean=theoretical_mean(dim), variance=theoretical_variance(dim))
 
+    def pdf(self, x):
+        """Normal density at x: float for scalar x, else x's shape; NaN at NaN, 0 at +-inf."""
+        def pdf(xv):
+            with np.errstate(over="ignore"):  # an overflow is +-inf, where the density is 0
+                z = (xv - self.mean) / self.sigma
+                return np.exp(-0.5 * z**2) / (_SQRT2PI * self.sigma)
+        return _elementwise(pdf, x)
 
-def normal_pdf(approx: NormalApprox, x):
-    """Normal density at x: float for scalar x, else x's shape; NaN at NaN, 0 at +-inf."""
-    mu, sigma = approx.mean, approx.sigma
+    def cdf(self, x):
+        """Normal CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 at -inf, 1 at +inf.
 
-    def pdf(xv):
-        with np.errstate(over="ignore"):  # an overflow is +-inf, where the density is 0
-            return np.exp(-0.5 * ((xv - mu) / sigma) ** 2) / (_SQRT2PI * sigma)
-    return _elementwise(pdf, x)
+        The standard normal CDF is Cephes `ndtr` (see `_ndtr`), bit for bit as
+        scipy.special.ndtr computes it, with `exp` from the C library (libm).
+        """
+        def cdf(xv):
+            with np.errstate(over="ignore"):  # an overflow is +-inf, where the CDF is 0 or 1
+                z = (xv - self.mean) / self.sigma
+            return _ndtr(z)
+        return _elementwise(cdf, x)
 
 
 def normal_cdf(approx: NormalApprox, x):
-    """Normal CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 at -inf, 1 at +inf.
+    """`approx.cdf(x)`, kept as a free function for existing callers."""
+    return approx.cdf(x)
 
-    The standard normal CDF is Cephes `ndtr` (see `_ndtr`), bit for bit as
-    scipy.special.ndtr computes it, with `exp` from the C library (libm).
-    """
-    def cdf(xv):
-        with np.errstate(over="ignore"):  # an overflow is +-inf, where the CDF is 0 or 1
-            z = (xv - approx.mean) / approx.sigma
-        return _ndtr(z)
-    return _elementwise(cdf, x)
+
+def _reference_laws(dim: int) -> dict:
+    """Name to law (with pdf and cdf), in the order of the ks_<name> and <name>_pdf columns."""
+    laws = {"exact": exact_density(dim)} if dim <= EXACT_DENSITY_MAX_DIM else {}
+    laws["normal"] = NormalApprox.for_dim(dim)
+    return laws
 
 
 # Cephes ndtr (Moshier, Methods and Programs for Mathematical Functions,
@@ -454,4 +469,4 @@ def sup_distance_to_normal(dim: int) -> float:
     density = exact_density(dim)
     approx = NormalApprox.for_dim(dim)
     xs = np.linspace(0.0, float(dim), 20001)
-    return float(np.max(np.abs(density.cdf(xs) - normal_cdf(approx, xs))))
+    return float(np.max(np.abs(density.cdf(xs) - approx.cdf(xs))))

@@ -1,4 +1,7 @@
-"""Reproducible dimension-sweep experiments comparing samples to theory."""
+"""Reproducible dimension-sweep experiments comparing samples to theory.
+
+With GOF, a row has a `ks_<name>` column for each law of `_reference_laws(dim)`.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ._version import __version__
-from .analytic import (
-    EXACT_DENSITY_MAX_DIM,
-    NormalApprox,
-    exact_density,
-    normal_cdf,
-    theoretical_mean,
-    theoretical_variance,
-)
+from .analytic import _reference_laws, theoretical_mean, theoretical_variance
 from .estimation import (
     EmpiricalCdf,
     Histogram,
@@ -134,17 +130,14 @@ def _run_dim(config: ExperimentConfig, dim: int, sample: Callable) -> DimensionR
     if config.emit_histograms:
         histogram = build_histogram(distances, bins=config.bins, density_mode=True)
 
-    ks_exact = ks_normal = crit05 = crit01 = None
-    backend = None
+    gof = {}
     if config.emit_gof:
         ecdf = EmpiricalCdf(distances)
-        approx = NormalApprox.for_dim(dim)
-        ks_normal = ks_statistic(ecdf, lambda x: normal_cdf(approx, x))
-        backend = "exact" if dim <= EXACT_DENSITY_MAX_DIM else "normal_only"
-        if backend == "exact":
-            ks_exact = ks_statistic(ecdf, exact_density(dim).cdf)
-        crit05 = ks_critical_value(config.num_pairs, 0.05)
-        crit01 = ks_critical_value(config.num_pairs, 0.01)
+        laws = _reference_laws(dim)
+        gof = {f"ks_{name}": ks_statistic(ecdf, law.cdf) for name, law in laws.items()}
+        gof.update(ks_crit_005=ks_critical_value(config.num_pairs, 0.05),
+                   ks_crit_001=ks_critical_value(config.num_pairs, 0.01),
+                   gof_backend="exact" if "exact" in laws else "normal_only")
 
     return DimensionReport(
         dim=dim,
@@ -154,11 +147,7 @@ def _run_dim(config: ExperimentConfig, dim: int, sample: Callable) -> DimensionR
         theoretical_variance=theoretical_variance(dim),
         mean_dev_se=mean_dev_se,
         var_dev_rel=var_dev_rel,
-        ks_exact=ks_exact,
-        ks_normal=ks_normal,
-        ks_crit_005=crit05,
-        ks_crit_001=crit01,
-        gof_backend=backend,
+        **gof,
         histogram=histogram,
     )
 
@@ -168,9 +157,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Each dimension is sampled from its own substream (keyed by the
     dimension value), summarized, and compared against the closed forms;
-    goodness-of-fit columns use the exact density where it is available and
-    fall back to the normal reference above its ceiling, recording which
-    backend answered. Every row samples on one set of threads.
+    goodness-of-fit columns test it against the exact density up to its
+    ceiling and the normal limit always, recording which backend answered.
+    Every row samples on one set of threads.
     """
     with _sampler() as sample:
         rows = tuple(_run_dim(config, dim, sample) for dim in config.dims)

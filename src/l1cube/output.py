@@ -8,6 +8,7 @@ line ends. So every float round-trips exactly, and identical reports
 serialize to identical bytes on any platform, as golden tests pin.
 `table.csv` and the printed table share one renderer; the printed table's
 columns and widths are named in `_PRINT_WIDTHS`, next to `TABLE_COLUMNS`.
+An overlay has one `<name>_pdf` column per law of `analytic._reference_laws`.
 
 A report itself is identical for an identical config because its samples
 come from Philox substreams, which are the same on every platform, and
@@ -25,12 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import (
-    EXACT_DENSITY_MAX_DIM,
-    NormalApprox,
-    exact_density,
-    normal_pdf,
-)
+from .analytic import _reference_laws
 from .estimation import _grid
 from .experiment import DimensionReport, ExperimentReport
 from .sampling import _boolean
@@ -116,10 +112,8 @@ def _figure_files(rows: tuple[DimensionReport, ...]):
         yield f"hist_n{row.dim}.csv", _float_csv(("bin_left", "bin_right", "density"), *columns)
 
         xs = _grid(edges[0], edges[-1], OVERLAY_GRID_POINTS)
-        overlay = {"x": xs}
-        if row.dim <= EXACT_DENSITY_MAX_DIM:
-            overlay["exact_pdf"] = exact_density(row.dim).pdf(xs)
-        overlay["normal_pdf"] = normal_pdf(NormalApprox.for_dim(row.dim), xs)
+        laws = _reference_laws(row.dim)
+        overlay = {"x": xs, **{f"{name}_pdf": law.pdf(xs) for name, law in laws.items()}}
         yield f"overlay_n{row.dim}.csv", _float_csv(overlay, *overlay.values())
 
 
@@ -146,9 +140,9 @@ def write_bundle(
       the columns `TABLE_COLUMNS`.
     - with `figures`, for each row in turn: `hist_n{dim}.csv` (bin_left,
       bin_right, density), then `overlay_n{dim}.csv`, the reference
-      densities on a 512-point grid over the histogram range: x, exact_pdf
-      where the exact backend applies (absent above its ceiling), and
-      normal_pdf always.
+      densities on a 512-point grid over the histogram range: x, then
+      `<name>_pdf` for each law of `analytic._reference_laws(dim)`, so
+      exact_pdf up to the exact density's ceiling and normal_pdf always.
 
     An unknown `fmt`, a `figures` that is not a bool, or `figures` for a
     report without histograms raises ValueError before anything is written.

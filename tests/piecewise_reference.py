@@ -6,7 +6,8 @@ points in range, each point's coefficient repeated from its segment's.
 into runs at the integer knots, and each segment's run goes through its
 own Horner loop (multiply, then add, highest power first, as Cephes'
 polevl runs it). The outer runs are filled by slice: 0 below 0,
-`fill_high` above `dim`, NaN for NaN. The program must return the same
+`fill_high` above `dim`, NaN for NaN. As in the program, the density is
+clipped at 0 and the CDF to [0, 1]. The program must return the same
 doubles, so tests compare the two bit for bit.
 """
 
@@ -46,7 +47,7 @@ def per_segment_eval(coeff_mat: np.ndarray, dim: int, x, fill_high: float) -> np
 
 
 def pdf(density, x) -> np.ndarray:
-    return per_segment_eval(density._pdf_coeffs, density.dim, x, 0.0)
+    return np.maximum(per_segment_eval(density._pdf_coeffs, density.dim, x, 0.0), 0.0)
 
 
 def cdf(density, x) -> np.ndarray:

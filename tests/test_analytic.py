@@ -27,7 +27,6 @@ from l1cube import (
     exact_density,
     moments_of,
     normal_cdf,
-    normal_pdf,
     run_experiment,
     sup_distance_to_normal,
     theoretical_excess_kurtosis,
@@ -185,6 +184,15 @@ class TestExactDensity:
         assert m.excess_kurtosis == pytest.approx(
             theoretical_excess_kurtosis(dim), abs=1e-8
         )
+
+    @pytest.mark.parametrize("dim", range(1, EXACT_DENSITY_MAX_DIM + 1))
+    def test_moments_of_rounds_once(self, dim):
+        # mu4 / mu2^2 - 3 is exactly -3/(5n), and mu3^2 / mu2^3 exactly
+        # 8/(25n); one rounding of each gives the closed form's bits, and the
+        # skewness is the square root of the second.
+        m = moments_of(exact_density(dim))
+        assert m.excess_kurtosis == theoretical_excess_kurtosis(dim)
+        assert m.skewness == math.sqrt(8 / (25 * dim))
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 30])
     def test_continuous_at_breakpoints(self, dim):
@@ -426,10 +434,10 @@ class TestPerSegmentEvaluation:
 
     @staticmethod
     def assert_equal_to_gather(density, x):
-        pdf = gather_eval(density._pdf_coeffs, density.dim, x, 0.0, 0.0)
+        pdf = np.maximum(gather_eval(density._pdf_coeffs, density.dim, x, 0.0, 0.0), 0.0)
         cdf = np.clip(gather_eval(density._cdf_coeffs, density.dim, x, 0.0, 1.0), 0.0, 1.0)
-        if isinstance(pdf, float):
-            cdf = float(cdf)
+        if isinstance(pdf, float):  # np.float64 from a scalar x
+            pdf, cdf = float(pdf), float(cdf)
         got_pdf, got_cdf = density.pdf(x), density.cdf(x)
         assert type(got_pdf) is type(pdf) and type(got_cdf) is type(cdf)
         assert np.array_equal(got_pdf, pdf, equal_nan=True), x
@@ -505,13 +513,17 @@ class TestEvaluationMemory:
 
 
 def _curves(dim):
-    """The four reference curves at `dim`, each as (name, f, limit at -inf, limit at +inf)."""
+    """The reference curves at `dim`, each as (name, f, limit at -inf, limit at +inf).
+
+    The last is the free function `normal_cdf`, which delegates to `approx.cdf`.
+    """
     density = exact_density(dim) if dim <= EXACT_DENSITY_MAX_DIM else closed_form_density(dim)
     approx = NormalApprox.for_dim(dim)
     return [
         ("pdf", density.pdf, 0.0, 0.0),
         ("cdf", density.cdf, 0.0, 1.0),
-        ("normal_pdf", lambda x: normal_pdf(approx, x), 0.0, 0.0),
+        ("normal pdf", approx.pdf, 0.0, 0.0),
+        ("normal cdf", approx.cdf, 0.0, 1.0),
         ("normal_cdf", lambda x: normal_cdf(approx, x), 0.0, 1.0),
     ]
 
@@ -549,6 +561,16 @@ class TestEvaluationContract:
         for name, f, _, _ in _curves(3):
             out = f([0.5, 1.5, 2.5])
             assert type(out) is np.ndarray and out.shape == (3,), name
+
+    @pytest.mark.parametrize("dim", [3, 10, 30, 100])
+    def test_densities_never_negative(self, dim):
+        # Unclipped, the rounded float coefficients put the exact pdf below 0
+        # within about 0.07 of x = dim: down to -1.1e-16 at dim 3 and
+        # -5.6e-53 at dim 30.
+        xs = np.linspace(0.0, dim, 200_001)
+        for name, f, _, _ in _curves(dim):
+            if "pdf" in name:
+                assert f(xs).min() >= 0.0, name
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 1, 2), (0, 4)])
     def test_shape_kept(self, shape):
@@ -642,7 +664,7 @@ class TestNormalApprox:
 
     def test_pdf_peak_closed_form(self):
         approx = NormalApprox.for_dim(100)
-        assert normal_pdf(approx, approx.mean) == pytest.approx(
+        assert approx.pdf(approx.mean) == pytest.approx(
             1.0 / math.sqrt(2 * math.pi * 100 / 18), rel=1e-15
         )
 
@@ -667,13 +689,13 @@ class TestNormalApprox:
 
     def test_pdf_integrates_to_cdf(self):
         approx = NormalApprox.for_dim(5)
-        val, _ = quad(lambda x: normal_pdf(approx, x), -10, approx.mean + approx.sigma)
+        val, _ = quad(approx.pdf, -10, approx.mean + approx.sigma)
         assert val == pytest.approx(normal_cdf(approx, approx.mean + approx.sigma), abs=1e-10)
 
     def test_array_forms(self):
         approx = NormalApprox.for_dim(2)
         xs = np.array([0.0, 2 / 3, 2.0])
-        assert normal_pdf(approx, xs).shape == (3,)
+        assert approx.pdf(xs).shape == (3,)
         assert np.all(np.diff(normal_cdf(approx, xs)) > 0)
 
 

@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "manhattan_distance",
     "moments_of",
     "normal_cdf",
-    "normal_pdf",
     "run_experiment",
     "sample_distances",
     "summarize",

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from l1cube import ExperimentConfig, exact_density, run_experiment
+from l1cube import ExperimentConfig, analytic, exact_density, run_experiment
 from l1cube.output import (
     _PRINT_WIDTHS,
     OVERLAY_GRID_POINTS,
@@ -205,6 +205,19 @@ class TestFigureData:
     def test_requires_histograms(self, bare_report, tmp_path):
         with pytest.raises(ValueError, match="histograms"):
             write_bundle(bare_report, tmp_path, figures=True)
+
+    def test_one_ceiling_decides_ks_and_overlay_columns(self, tmp_path, monkeypatch):
+        # analytic's ceiling alone chooses the laws of the KS columns and of
+        # the overlay columns; lowered to 3, dim 4 has the normal law alone.
+        monkeypatch.setattr(analytic, "EXACT_DENSITY_MAX_DIM", 3)
+        cfg = ExperimentConfig(dims=(2, 3, 4), num_pairs=1000, seed=3,
+                               emit_histograms=True, emit_gof=True)
+        report = run_experiment(cfg)
+        assert [r.gof_backend for r in report.rows] == ["exact", "exact", "normal_only"]
+        assert [r.ks_exact is None for r in report.rows] == [False, False, True]
+        write_bundle(report, tmp_path, figures=True)
+        headers = [(tmp_path / f"overlay_n{d}.csv").read_text().split("\n")[0] for d in (2, 3, 4)]
+        assert headers == ["x,exact_pdf,normal_pdf"] * 2 + ["x,normal_pdf"]
 
 
 class TestWriteBundle:
