@@ -194,7 +194,7 @@ def _check_memory(config: ExperimentConfig) -> None:
     A row holds its sample, 8 bytes a pair, for the summary, the sort, the
     histogram and KS. The stages run one after another, each with working
     memory of a fixed size beside the sample: the buffers of a sampling
-    worker on each usable CPU, then blocks of at most about 2 MiB, such as a
+    worker on each usable CPU, then blocks of at most about 1 MiB, such as a
     KS batch. KS also holds arrays over its block starts, one start per 256
     pairs, `_KS_PAIR_BYTES` a pair. With histograms, every row's bins are
     kept to the end of the run and then written out, `_BIN_BYTES` a bin.

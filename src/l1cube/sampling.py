@@ -55,9 +55,9 @@ CHUNK_PAIRS = 1024
 
 # Most uniforms drawn in one call, a power of two. Consecutive draws from a
 # Philox stream equal one large draw bit for bit, so this bounds a worker's
-# buffers at every dim without changing any output: 512 KiB of draws and
-# 256 KiB of differences. At dim <= 32 a whole chunk is still one call.
-_BLOCK_DRAWS = 1 << 16
+# buffers at every dim without changing any output: 256 KiB of draws and
+# 128 KiB of differences. At dim <= 16 a whole chunk is one call.
+_BLOCK_DRAWS = 1 << 15
 # A worker's draw and difference buffers, in bytes.
 _WORKER_BYTES = 8 * (_BLOCK_DRAWS + _BLOCK_DRAWS // 2)
 # Largest dim that can be sampled, 2^55. `_seek` sets the first of the

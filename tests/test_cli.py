@@ -189,33 +189,35 @@ class TestMemoryCheck:
         assert not out.exists()
 
     def test_bound_is_the_rows_footprint(self, tmp_path, capsys, physical_memory, monkeypatch):
-        # 2048 pairs of 8 bytes, 768 KiB for each of two sampling workers,
-        # 2 MiB for a KS batch and 384 bytes over the KS block starts (48
-        # bytes a start of 256 pairs): 3,686,784 bytes run, one byte fewer is
-        # refused.
+        # 2048 pairs of 8 bytes (16,384), 384 KiB for each of two sampling
+        # workers (786,432), 1 MiB for a KS batch (1,048,576) and 384 bytes
+        # over the KS block starts (48 bytes a start of 256 pairs, 8 starts):
+        # 1,851,776 bytes run, one byte fewer is refused.
         monkeypatch.setattr("l1cube.cli._usable_cpus", lambda: 2)
         argv = ["--dims", "1", "--pairs", "2048", "--gof", "--out", str(tmp_path)]
-        physical_memory(3_686_783)
+        physical_memory(1_851_775)
         assert run_cli(argv, capsys)[0] == 2
-        physical_memory(3_686_784)
+        physical_memory(1_851_776)
         assert run_cli(argv, capsys)[0] == 0
 
     def test_bound_counts_the_ks_block_starts(self, tmp_path, capsys, physical_memory,
                                               monkeypatch):
         # 10^8 pairs hold 390,625 KS block starts, 18,750,000 bytes at 48 a
-        # start, past one KS batch. The bound without them, 803,670,016
-        # bytes, is refused before sampling; with them, 822,420,016 bytes fit.
+        # start, past one KS batch. The bound without them, 801,835,008
+        # bytes (8 * 10^8 for the sample, 786,432 for two workers, 1,048,576
+        # for a KS batch), is refused before sampling; with them,
+        # 820,585,008 bytes fit.
         monkeypatch.setattr("l1cube.cli._usable_cpus", lambda: 2)
         sampled = []
         monkeypatch.setattr("l1cube.cli.run_experiment", sampled.append)
-        physical_memory(803_670_016)
+        physical_memory(801_835_008)
         argv = ["--dims", "1", "--pairs", "100000000", "--gof", "--out", str(tmp_path / "never")]
         assert run_cli(argv, capsys)[0] == 2
         assert sampled == []
-        physical_memory(822_420_015)
+        physical_memory(820_585_007)
         with pytest.raises(ValueError, match="a row needs 0.8 GiB"):
             _check_memory(ExperimentConfig(dims=(1,), num_pairs=10**8, emit_gof=True))
-        physical_memory(822_420_016)
+        physical_memory(820_585_008)
         _check_memory(ExperimentConfig(dims=(1,), num_pairs=10**8, emit_gof=True))
 
     def test_bins_beyond_physical_memory_refused(self, tmp_path, capsys, physical_memory,
@@ -236,17 +238,18 @@ class TestMemoryCheck:
         assert not out.exists()
 
     def test_bound_counts_every_rows_bins(self, tmp_path, capsys, physical_memory, monkeypatch):
-        # The row's 3,686,784 bytes as above, then two rows of 100 edges and
-        # 99 counts at 320 bytes a bin: 3,750,784 bytes run, one fewer is refused.
+        # The row's 1,851,776 bytes as above, then two rows of 100 edges and
+        # 99 counts at 320 bytes a bin (64,000): 1,915,776 bytes run, one
+        # fewer is refused.
         monkeypatch.setattr("l1cube.cli._usable_cpus", lambda: 2)
         argv = ["--dims", "1,2", "--pairs", "2048", "--gof", "--histograms", "--bins", "99",
                 "--out", str(tmp_path)]
-        physical_memory(3_750_783)
+        physical_memory(1_915_775)
         assert run_cli(argv, capsys)[0] == 2
-        physical_memory(3_750_784)
+        physical_memory(1_915_776)
         assert run_cli(argv, capsys)[0] == 0
         # Without histograms the bins cost nothing.
-        physical_memory(3_686_784)
+        physical_memory(1_851_776)
         assert run_cli([a for a in argv if a != "--histograms"], capsys)[0] == 0
 
     @pytest.mark.parametrize("lookup", ["missing-name", "no-sysconf"])

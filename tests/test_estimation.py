@@ -196,6 +196,20 @@ class TestSummationOrder:
         assert got.mean == want.mean
         assert got.m2 == want.m2
 
+    def test_deviations_held_a_span_at_a_time(self):
+        # Two blocks of 65,536 values. The squared deviations are formed one
+        # 8,192-value span (64 KiB) at a time: the peak reads 129 KiB, as a
+        # span's deviations are freed when the next span's are made. Squared
+        # over the whole block, they held one 512 KiB temporary (514 KiB).
+        x = np.random.default_rng(17).random(1 << 17)
+        tracemalloc.start()
+        try:
+            summarize(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 << 10
+
 
 class TestHistogram:
     def test_matches_numpy_semantics(self):
@@ -577,7 +591,7 @@ class TestKsBlocks:
     @classmethod
     def assert_batched(cls, n, sizes, gathered):
         # One coarse call at every 256th point and the last, then the gathered
-        # blocks in batches of at most 16,384 points, summing to the points
+        # blocks in batches of at most 8,192 points, summing to the points
         # of the blocks that can hold the supremum.
         coarse, *batches = sizes
         assert coarse == -(-(n - 1) // cls.STRIDE) + 1
@@ -738,8 +752,8 @@ class TestKsMemory:
 
     @pytest.mark.parametrize("dim, which", [(20, "exact"), (100, "normal")])
     def test_peak_below_the_sample(self, dim, which):
-        # At 10^6 points these peaks read about 0.97 (dim 20, exact) and
-        # 1.74 MiB (dim 100, normal) against the sample's 7.6 MiB; one more
+        # At 10^6 points these peaks read about 0.53 (dim 20, exact) and
+        # 0.92 MiB (dim 100, normal) against the sample's 7.6 MiB; one more
         # array of N floats or indices would pass the sample's size.
         x = sample_distances(SampleSpec(dim, 1_000_000, seed=dim))
         x.sort()
@@ -757,7 +771,7 @@ class TestKsMemory:
 
 
 class TestKsBatchMemory:
-    """KS holds one batch of 16,384 points at a time, whatever N."""
+    """KS holds one batch of 8,192 points at a time, whatever N."""
 
     @staticmethod
     def peak(x, reference):
@@ -771,23 +785,23 @@ class TestKsBatchMemory:
         finally:
             tracemalloc.stop()
 
-    def test_peak_of_eleven_batches(self):
-        # At 10^6 points, dim 1's exact reference gathers 168,704 points: 11
-        # batches. The peak reads 0.98 MiB; gathered at once, as before the
+    def test_peak_over_many_batches(self):
+        # At 10^6 points, dim 1's exact reference gathers 168,704 points: 21
+        # batches. The peak reads 0.54 MiB; gathered at once, as before the
         # batches, the same blocks peaked at 6.5 MiB.
         x = sample_distances(SampleSpec(1, 1_000_000, seed=1))
-        assert self.peak(x, exact_density(1).cdf) < 2 << 20
+        assert self.peak(x, exact_density(1).cdf) < estimation._KS_BATCH_BYTES
 
     def test_peak_when_most_blocks_can_win(self):
         # At 200,000 points, dim 1's exact reference gathers 199,936 points:
-        # 13 batches. The peak reads 0.90 MiB; with F called once on every
+        # 25 batches. The peak reads 0.46 MiB; with F called once on every
         # point, as before, it read 2.05 MiB.
         x = sample_distances(SampleSpec(1, 200_000, seed=1))
-        assert self.peak(x, exact_density(1).cdf) < 2 << 20
+        assert self.peak(x, exact_density(1).cdf) < estimation._KS_BATCH_BYTES
 
     def test_peak_when_no_block_is_skipped(self):
         # A decreasing reference steps back at the block starts, so all
-        # 300,000 points are gathered: 19 batches. The peak reads 0.77 MiB;
+        # 300,000 points are gathered: 37 batches. The peak reads 0.39 MiB;
         # with F called once on every point, as before, it read 2.81 MiB.
         x = np.random.default_rng(300_000).random(300_000)
-        assert self.peak(x, lambda v: 1.0 - np.asarray(v)) < 2 << 20
+        assert self.peak(x, lambda v: 1.0 - np.asarray(v)) < estimation._KS_BATCH_BYTES

@@ -320,7 +320,7 @@ class TestSampleDistances:
     def test_equals_fresh_stream_oracle(self, dim, num_pairs, monkeypatch):
         # Re-keyed generators and reused buffers give what one fresh stream
         # per chunk gives, for any worker count and draw-call size. Above
-        # 2**15 coordinates (SUM_SPAN with 64 or 2 * SUM_SPAN uniforms a
+        # 2**14 coordinates (SUM_SPAN with 64 or 2 * SUM_SPAN uniforms a
         # call) each pair is drawn in blocks, with P and Q read from two
         # generators set to their offsets; the last block is partial.
         spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=2024)
@@ -498,12 +498,12 @@ class TestSamplerMemory:
     @pytest.mark.parametrize("dim, num_pairs", [(100, 2**17), (2**17 + 3, 2)])
     def test_peak_beside_the_output(self, dim, num_pairs):
         # Two workers at dim 100; one at the block-path dim, as its two pairs
-        # are one chunk. Each worker's draws and differences take 768 KiB;
+        # are one chunk. Each worker's draws and differences take 384 KiB;
         # before the fixed budget, dim 100 held 2.4 MiB a worker and dim
         # 2**17 + 3 a whole pair, 3 MiB. The slack covers numpy's ufunc
         # buffers for the strided P - Q at dim 100, 128 KiB a worker, and
-        # 64 KiB for the threads and the generators. The peaks read 1,808 and
-        # 772 KiB past the output (5,075 and 9,220 KiB before).
+        # 64 KiB for the threads and the generators. The peaks read 1,033 and
+        # 392 KiB past the output (5,075 and 9,220 KiB before the budget).
         spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=3)
         tracemalloc.start()
         try:
