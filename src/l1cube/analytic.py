@@ -43,7 +43,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .estimation import _is_sorted
+from .estimation import _grid, _is_sorted
 from .sampling import _integer
 
 __all__ = [
@@ -62,8 +62,9 @@ __all__ = [
 EXACT_DENSITY_MAX_DIM = 30
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# Points per block of an elementwise evaluation (a piecewise polynomial, or
-# the normal CDF): its temporaries stay the same size at any input length.
+# Points per block of every reference curve's evaluation: `_elementwise`, the
+# one block loop, hands a curve at most this many points at a time, so its
+# temporaries stay the same size at any input length and in any input order.
 _EVAL_BLOCK = 1 << 14
 
 
@@ -72,13 +73,19 @@ class UnsupportedDimensionError(ValueError):
 
 
 def _elementwise(f, x):
-    """Apply `f`, which maps a 1-D float64 array to one of the same length, to x.
+    """Apply `f(xv, out)`, which writes its values at the 1-D float64 `xv` into `out`, to x.
 
-    The one scalar/array dispatch of the reference curves: a scalar or 0-d x
-    gives a float, any other x an array of its shape.
+    The one scalar/array dispatch and the one block loop of every reference
+    curve: the output is allocated once, and `f` is handed at most
+    `_EVAL_BLOCK` points at a time. A scalar or 0-d x gives a float, any
+    other x an array of its shape.
     """
     xa = np.asarray(x, dtype=np.float64)
-    out = f(xa.ravel()).reshape(xa.shape)
+    xv = xa.ravel()
+    out = np.empty_like(xv)
+    for lo in range(0, xv.size, _EVAL_BLOCK):
+        f(xv[lo:lo + _EVAL_BLOCK], out[lo:lo + _EVAL_BLOCK])
+    out = out.reshape(xa.shape)
     return float(out) if xa.ndim == 0 else out
 
 
@@ -149,12 +156,6 @@ class PiecewisePolynomial:
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
 
-    @cached_property
-    def segments(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact rational coefficients per segment, built on first use."""
-        d = self.denominator
-        return tuple(tuple(Fraction(c, d) for c in row) for row in self.numerators)
-
     @property
     def dim(self) -> int:
         return len(self.numerators)
@@ -183,10 +184,10 @@ class PiecewisePolynomial:
             cum += sum(map(mul, row, weights))
         return np.array(rows)
 
-    def _eval(self, coeff_mat: np.ndarray, xv: np.ndarray, fill_high: float) -> np.ndarray:
-        # Sorted input (what ks_statistic passes) is used as given, with no
-        # copy; other input is sorted, then scattered back. NaN fails the
-        # sortedness test and argsort puts it last.
+    def _eval(self, coeff_mat: np.ndarray, xv: np.ndarray, res: np.ndarray, fill_high: float) -> None:
+        # One block of points into `res`. Sorted input (what ks_statistic
+        # passes) is used as given, with no copy; other input is sorted, then
+        # scattered back. NaN fails the sortedness test and argsort puts it last.
         order = None
         if not _is_sorted(xv):
             order = np.argsort(xv)
@@ -197,37 +198,30 @@ class PiecewisePolynomial:
         edges = np.append(np.searchsorted(xv, np.arange(self.dim)),
                           np.searchsorted(xv, [self.dim, np.inf], side="right"))
         lo, hi, nan_from = int(edges[0]), int(edges[-2]), int(edges[-1])
-        res = np.empty_like(xv)
-        res[:lo] = 0.0
-        res[hi:nan_from] = fill_high
-        res[nan_from:] = np.nan
-        # One Horner pass over `_EVAL_BLOCK` points at a time, each point's
-        # coefficients repeated from its segment's over the run.
-        powers = coeff_mat.T[::-1]
-        offsets = np.arange(self.dim, dtype=np.float64)
-        for start in range(lo, hi, _EVAL_BLOCK):
-            stop = min(start + _EVAL_BLOCK, hi)
-            runs = np.diff(np.clip(edges[:-1], start, stop))
-            t = xv[start:stop] - offsets.repeat(runs)
-            res[start:stop] = _polevl(t, (c.repeat(runs) for c in powers))
+        out = res if order is None else np.empty_like(xv)
+        out[:lo] = 0.0
+        out[hi:nan_from] = fill_high
+        out[nan_from:] = np.nan
+        # One Horner pass, each point's coefficients repeated from its
+        # segment's over the run.
+        runs = np.diff(edges[:-1])
+        t = xv[lo:hi] - np.arange(self.dim, dtype=np.float64).repeat(runs)
+        out[lo:hi] = _polevl(t, (c.repeat(runs) for c in coeff_mat.T[::-1]))
         if order is not None:
-            unsorted = np.empty_like(res)
-            unsorted[order] = res
-            res = unsorted
-        return res
+            res[order] = out
 
     def pdf(self, x):
         """Density at x, >= 0: float for scalar x, else x's shape; NaN at NaN, 0 off [0, dim]."""
-        def density(xv):
-            f = self._eval(self._pdf_coeffs, xv, 0.0)
-            return np.maximum(f, 0.0, out=f)
+        def density(xv, out):
+            self._eval(self._pdf_coeffs, xv, out, 0.0)
+            np.maximum(out, 0.0, out=out)
         return _elementwise(density, x)
 
     def cdf(self, x):
         """CDF at x: float for scalar x, else x's shape; NaN at NaN, 0 below 0, 1 above dim."""
-        def unit(xv):
-            f = self._eval(self._cdf_coeffs, xv, 1.0)
-            return np.clip(f, 0.0, 1.0, out=f)
+        def unit(xv, out):
+            self._eval(self._cdf_coeffs, xv, out, 1.0)
+            np.clip(out, 0.0, 1.0, out=out)
         return _elementwise(unit, x)
 
     # -- exact integrals -----------------------------------------------------
@@ -360,10 +354,10 @@ class NormalApprox:
 
     def pdf(self, x):
         """Normal density at x: float for scalar x, else x's shape; NaN at NaN, 0 at +-inf."""
-        def pdf(xv):
+        def pdf(xv, out):
             with np.errstate(over="ignore"):  # an overflow is +-inf, where the density is 0
                 z = (xv - self.mean) / self.sigma
-                return np.exp(-0.5 * z**2) / (_SQRT2PI * self.sigma)
+                np.divide(np.exp(-0.5 * z**2), _SQRT2PI * self.sigma, out=out)
         return _elementwise(pdf, x)
 
     def cdf(self, x):
@@ -372,10 +366,10 @@ class NormalApprox:
         The standard normal CDF is Cephes `ndtr` (see `_ndtr`), bit for bit as
         scipy.special.ndtr computes it, with `exp` from the C library (libm).
         """
-        def cdf(xv):
+        def cdf(xv, out):
             with np.errstate(over="ignore"):  # an overflow is +-inf, where the CDF is 0 or 1
                 z = (xv - self.mean) / self.sigma
-            return _ndtr(z)
+            _ndtr(z, out)
         return _elementwise(cdf, x)
 
 
@@ -429,34 +423,30 @@ def _polevl(x: np.ndarray, coeffs: Iterable) -> np.ndarray:
     return out
 
 
-def _ndtr(a: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of a 1-D float64 array, as scipy.special.ndtr gives it.
+def _ndtr(a: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of the 1-D float64 `a`, as scipy.special.ndtr gives it, into `res`.
 
     Each branch and operation follows Cephes, so every value equals scipy's
     bit for bit. `exp` is libm's through `math.exp`; numpy's own `exp`
     rounds some points differently, depending on its SIMD dispatch.
     """
-    out = np.empty_like(a)
-    for lo in range(0, a.size, _EVAL_BLOCK):
-        block = slice(lo, lo + _EVAL_BLOCK)
-        x = a[block] * _SQRT1_2
-        with np.errstate(over="ignore"):  # z = inf only where the CDF is 0 or 1
-            z = x * x
-        ax = np.abs(x)
-        res = out[block]
-        res[...] = x > 0.0  # where erfc underflows to 0, the CDF is 0 or 1
-        near = ax < 1.0  # 0.5 + 0.5 * erf(x)
-        xn, zn = x[near], z[near]
-        res[near] = 0.5 + 0.5 * (xn * _polevl(zn, _NDTR_T) / _polevl(zn, _NDTR_U))
-        # 0.5 * erfc(|x|), flipped for x > 0
-        for tail, num, den in (((ax >= 1.0) & (ax < 8.0), _NDTR_P, _NDTR_Q),
-                               ((ax >= 8.0) & (z <= _MAXLOG), _NDTR_R, _NDTR_S)):
-            at = ax[tail]
-            e = np.fromiter(map(math.exp, (-z[tail]).tolist()), np.float64, at.size)
-            y = 0.5 * (e * _polevl(at, num) / _polevl(at, den))
-            res[tail] = np.where(x[tail] > 0.0, 1.0 - y, y)
-        res[np.isnan(x)] = np.nan
-    return out
+    x = a * _SQRT1_2
+    with np.errstate(over="ignore"):  # z = inf only where the CDF is 0 or 1
+        z = x * x
+    ax = np.abs(x)
+    res[...] = x > 0.0  # where erfc underflows to 0, the CDF is 0 or 1
+    near = ax < 1.0  # 0.5 + 0.5 * erf(x)
+    xn, zn = x[near], z[near]
+    res[near] = 0.5 + 0.5 * (xn * _polevl(zn, _NDTR_T) / _polevl(zn, _NDTR_U))
+    # 0.5 * erfc(|x|), flipped for x > 0
+    for tail, num, den in (((ax >= 1.0) & (ax < 8.0), _NDTR_P, _NDTR_Q),
+                           ((ax >= 8.0) & (z <= _MAXLOG), _NDTR_R, _NDTR_S)):
+        at = ax[tail]
+        e = np.fromiter(map(math.exp, (-z[tail]).tolist()), np.float64, at.size)
+        y = 0.5 * (e * _polevl(at, num) / _polevl(at, den))
+        res[tail] = np.where(x[tail] > 0.0, 1.0 - y, y)
+    res[np.isnan(x)] = np.nan
+    return res
 
 
 def sup_distance_to_normal(dim: int) -> float:
@@ -468,5 +458,5 @@ def sup_distance_to_normal(dim: int) -> float:
     """
     density = exact_density(dim)
     approx = NormalApprox.for_dim(dim)
-    xs = np.linspace(0.0, float(dim), 20001)
+    xs = _grid(0.0, float(dim), 20001)
     return float(np.max(np.abs(density.cdf(xs) - approx.cdf(xs))))

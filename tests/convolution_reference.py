@@ -10,6 +10,8 @@ segments with coefficients in the local variable t = x - k.
 coefficient matrices the way the package's evaluation expects them, one
 `float(Fraction)` per coefficient, so the program's matrices can be
 compared to it with `np.array_equal`.
+`segments_of` reads a `PiecewisePolynomial`'s integer rows as such
+segments, one `Fraction(numerator, denominator)` per coefficient.
 `fraction_moment` integrates moments of exact segments the same slow way,
 one `Fraction` product per coefficient, as the oracle for the program's
 integer `PiecewisePolynomial.moment`. `gather_eval` evaluates a coefficient
@@ -105,6 +107,12 @@ def convolution_chain(max_dim: int) -> dict:
     for n in range(2, max_dim + 1):
         chain[n] = convolve_with_triangle(chain[n - 1])
     return chain
+
+
+def segments_of(density) -> tuple:
+    """Exact rational coefficients per segment of a `PiecewisePolynomial`."""
+    d = density.denominator
+    return tuple(tuple(Fraction(c, d) for c in row) for row in density.numerators)
 
 
 def float_projection(segments) -> tuple[np.ndarray, np.ndarray]:

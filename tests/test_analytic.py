@@ -14,6 +14,7 @@ from convolution_reference import (
     float_projection,
     fraction_moment,
     gather_eval,
+    segments_of,
 )
 from scipy.integrate import quad
 from scipy.special import ndtr
@@ -35,7 +36,7 @@ from l1cube import (
     theoretical_variance,
 )
 from l1cube import analytic
-from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _ndtr, _next_density
+from l1cube.analytic import _EVAL_BLOCK, _MAXLOG, _SQRT2PI, _ndtr, _next_density
 import piecewise_reference
 
 MOMENT_DIMS = (1, 2, 3, 5, 10, 20, 30)
@@ -112,7 +113,7 @@ class TestSingleDimDensity:
 class TestExactDensity:
     def test_dim_one_is_the_triangle(self):
         d = exact_density(1)
-        assert d.segments == ((Fraction(2), Fraction(-2)),)
+        assert segments_of(d) == ((Fraction(2), Fraction(-2)),)
         assert d.dim == 1
 
     def test_matches_triangle_pointwise(self):
@@ -198,7 +199,7 @@ class TestExactDensity:
     def test_continuous_at_breakpoints(self, dim):
         # Adjacent segments agree exactly at shared breakpoints in rational
         # arithmetic (the density is C^0 for dim >= 2).
-        segs = exact_density(dim).segments
+        segs = segments_of(exact_density(dim))
         for left, right in zip(segs, segs[1:]):
             assert sum(left, Fraction(0)) == right[0]
 
@@ -216,7 +217,7 @@ class TestExactDensity:
             seg = min(int(x), d.dim - 1)
             t = Fraction(x) - seg
             exact = sum(
-                c * t**i for i, c in enumerate(d.segments[seg])
+                c * t**i for i, c in enumerate(segments_of(d)[seg])
             )
             assert d.pdf(x) == pytest.approx(float(exact), rel=1e-12)
 
@@ -292,7 +293,7 @@ class TestAgainstConvolutionOracle:
     @pytest.mark.parametrize("dim", range(1, EXACT_DENSITY_MAX_DIM + 1))
     def test_segments_and_float_coefficients(self, convolution_oracle, dim):
         d = exact_density(dim)
-        assert d.segments == convolution_oracle[dim]
+        assert segments_of(d) == convolution_oracle[dim]
         pdf, cdf = float_projection(convolution_oracle[dim])
         assert np.array_equal(d._pdf_coeffs, pdf)
         assert np.array_equal(d._cdf_coeffs, cdf)
@@ -302,11 +303,11 @@ def assert_moments_match_oracle(density):
     # Orders 0-2 about zero, then 2-4 about the exact mean: the integer
     # moment must equal the Fraction oracle exactly.
     for order in (0, 1, 2):
-        assert density.moment(order) == fraction_moment(density.segments, order)
+        assert density.moment(order) == fraction_moment(segments_of(density), order)
     mean = density.moment(1)
     for order in (2, 3, 4):
         assert density.moment(order, center=mean) == fraction_moment(
-            density.segments, order, mean
+            segments_of(density), order, mean
         )
 
 
@@ -378,7 +379,7 @@ class TestClosedFormBeyondCeiling:
         assert density.moment(0) == 1
 
     def test_continuous_at_breakpoints(self, density):
-        segs = density.segments
+        segs = segments_of(density)
         for left, right in zip(segs, segs[1:]):
             assert sum(left, Fraction(0)) == right[0]
 
@@ -391,7 +392,7 @@ class TestClosedFormBeyondCeiling:
         for x in (20.5, 30.25, 33.3, 40.75, 60.5):
             seg = int(x)
             t = Fraction(x) - seg
-            exact = sum(c * t**i for i, c in enumerate(density.segments[seg]))
+            exact = sum(c * t**i for i, c in enumerate(segments_of(density)[seg]))
             assert density.pdf(x) == pytest.approx(float(exact), rel=1e-12)
 
 
@@ -494,22 +495,43 @@ class TestOneHornerPass:
 
 
 class TestEvaluationMemory:
-    """A piecewise evaluation holds its output and one block's temporaries."""
+    """Every reference curve holds its output and one block's temporaries, in any order."""
+
+    # Arrays of one block's doubles that each curve holds at its peak beside
+    # its output, for sorted and for shuffled input:
+    # - exact pdf and cdf: t, Horner's running value and one repeated
+    #   coefficient; shuffled, also the block's order, its sorted points
+    #   and their values before the scatter;
+    # - normal pdf: z, z**2 and -0.5 * z**2 (then its exp);
+    # - normal cdf: z, then `_ndtr`'s x, x * x and |x|, and in a tail its
+    #   |x|, the exponents as a list (a float object and a pointer, 32 bytes
+    #   a value: four arrays) and their exp.
+    # One more array is allowed for masks, run edges and other small
+    # objects. A second array of the input's length (61 blocks at 10^6
+    # points) fails every bound.
+    ARRAYS = {"pdf": (3, 6), "cdf": (3, 6), "normal pdf": (3, 3), "normal cdf": (10, 10)}
+
+    @classmethod
+    def assert_peaks_within_bound(cls, x, shuffled):
+        # 10^6 points over [-1, 31] at dim 30: 62 blocks.
+        for name, f, _, _ in _curves(30):
+            if name not in cls.ARRAYS:
+                continue  # normal_cdf is the normal cdf
+            f(x[:8])  # builds the exact density's float coefficients outside the trace
+            tracemalloc.start()
+            try:
+                out = f(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes < (cls.ARRAYS[name][shuffled] + 1) * 8 * _EVAL_BLOCK, name
 
     def test_peak_of_a_million_sorted_points(self):
-        # 10^6 points over [-1, 31] at dim 30: 62 blocks of Horner. The bound
-        # is the output and four arrays of a block's doubles; a second
-        # N-length array (a copy, a clip into a new array) would pass it.
-        density = exact_density(30)
-        x = np.linspace(-1.0, 31.0, 1_000_000)
-        density.cdf(x[:8])  # builds the float coefficients outside the trace
-        tracemalloc.start()
-        try:
-            f = density.cdf(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < f.nbytes + 4 * 8 * _EVAL_BLOCK
+        self.assert_peaks_within_bound(np.linspace(-1.0, 31.0, 1_000_000), False)
+
+    def test_peak_of_a_million_shuffled_points(self):
+        x = np.random.default_rng(33).permutation(np.linspace(-1.0, 31.0, 1_000_000))
+        self.assert_peaks_within_bound(x, True)
 
 
 def _curves(dim):
@@ -571,6 +593,28 @@ class TestEvaluationContract:
         for name, f, _, _ in _curves(dim):
             if "pdf" in name:
                 assert f(xs).min() >= 0.0, name
+
+    def test_fortran_order_across_blocks(self):
+        # Three rows of 2 * _EVAL_BLOCK + 1 points, column-major, so that the
+        # row-major order the blocks follow is not the memory order, with
+        # NaN and +-inf among them. Each cell equals the curve's scalar call
+        # at the block edges, the special values and 512 random cells; all
+        # cells equal a call on the column-major points, which splits them
+        # into other blocks.
+        rng = np.random.default_rng(3)
+        x = np.asfortranarray(rng.uniform(-1.0, 6.0, (3, 2 * _EVAL_BLOCK + 1)))
+        special = rng.choice(x.size, 60, replace=False)
+        x.flat[special] = np.resize([np.nan, np.inf, -np.inf], special.size)
+        edges = [i for k in range(1, 3) for i in range(k * _EVAL_BLOCK - 2, k * _EVAL_BLOCK + 2)]
+        cells = np.unique(np.concatenate([special, edges, [0, x.size - 1],
+                                          rng.choice(x.size, 512, replace=False)]))
+        for name, f, _, _ in _curves(5):
+            out = f(x)
+            assert out.shape == x.shape, name
+            assert np.array_equal(out, f(x.ravel(order="F")).reshape(x.shape, order="F"),
+                                  equal_nan=True), name
+            scalars = [f(v) for v in x.flat[cells]]
+            assert np.array_equal(out.flat[cells], scalars, equal_nan=True), name
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 1, 2), (0, 4)])
     def test_shape_kept(self, shape):
@@ -716,7 +760,7 @@ class TestNdtrParity:
     @staticmethod
     def assert_matches_scipy(a):
         a = np.asarray(a, dtype=np.float64)
-        assert np.array_equal(_ndtr(a), ndtr(a), equal_nan=True)
+        assert np.array_equal(_ndtr(a, np.empty_like(a)), ndtr(a), equal_nan=True)
 
     @pytest.mark.parametrize(
         "edge",
@@ -740,9 +784,17 @@ class TestNdtrParity:
         self.assert_matches_scipy(a)
         self.assert_matches_scipy(np.sort(a))
 
-    @pytest.mark.parametrize("n", [_EVAL_BLOCK - 1, _EVAL_BLOCK, _EVAL_BLOCK + 1])
+    @pytest.mark.parametrize("n", [_EVAL_BLOCK - 1, _EVAL_BLOCK, _EVAL_BLOCK + 1,
+                                   2 * _EVAL_BLOCK + 1])
     def test_block_boundaries(self, n):
-        self.assert_matches_scipy(np.linspace(-30.0, 30.0, n))
+        # Through the public curves, which hand `_ndtr` one block at a time.
+        # With mean 0 and variance 1, z is x exactly; the pdf is the one-shot
+        # formula, bit for bit.
+        approx = NormalApprox(mean=0.0, variance=1.0)
+        x = np.linspace(-30.0, 30.0, n)
+        for a in (x, np.random.default_rng(n).permutation(x)):
+            assert np.array_equal(approx.cdf(a), ndtr(a))
+            assert np.array_equal(approx.pdf(a), np.exp(-0.5 * a**2) / (_SQRT2PI * approx.sigma))
 
     def test_two_dimensional_through_normal_cdf(self):
         # With mean 0 and variance 1, normal_cdf standardizes exactly.
