@@ -76,16 +76,16 @@ def _elementwise(f, x):
     """Apply `f(xv, out)`, which writes its values at the 1-D float64 `xv` into `out`, to x.
 
     The one scalar/array dispatch and the one block loop of every reference
-    curve: the output is allocated once, and `f` is handed at most
-    `_EVAL_BLOCK` points at a time. A scalar or 0-d x gives a float, any
-    other x an array of its shape.
+    curve: the output is allocated once, in x's layout, and `f` is handed at
+    most `_EVAL_BLOCK` points at a time in memory order, so a contiguous x of
+    either order is not copied. A scalar or 0-d x gives a float, any other x
+    an array of its shape.
     """
     xa = np.asarray(x, dtype=np.float64)
-    xv = xa.ravel()
-    out = np.empty_like(xv)
+    out = np.empty_like(xa)
+    xv, ov = xa.ravel(order="K"), out.ravel(order="K")
     for lo in range(0, xv.size, _EVAL_BLOCK):
-        f(xv[lo:lo + _EVAL_BLOCK], out[lo:lo + _EVAL_BLOCK])
-    out = out.reshape(xa.shape)
+        f(xv[lo:lo + _EVAL_BLOCK], ov[lo:lo + _EVAL_BLOCK])
     return float(out) if xa.ndim == 0 else out
 
 
@@ -285,9 +285,9 @@ def exact_density(dim: int) -> PiecewisePolynomial:
     """Exact density of the distance in `dim` dimensions.
 
     dim = 1 is the triangular density. Any other dimension is stepped up
-    from the highest cached dimension below it, or from the triangle, one
-    convolution step at a time, and every dimension passed is cached
-    (instances are immutable and shared).
+    from the triangle one convolution step at a time, taking each dimension
+    passed from the cache or building and caching it (instances are
+    immutable and shared).
 
     Raises UnsupportedDimensionError above EXACT_DENSITY_MAX_DIM.
     """
@@ -297,13 +297,10 @@ def exact_density(dim: int) -> PiecewisePolynomial:
             f"exact density supports dim <= {EXACT_DENSITY_MAX_DIM}, got {dim}; "
             "use the normal approximation instead"
         )
-    start = dim
-    while start > 1 and start not in _density_cache:
-        start -= 1
-    density = _density_cache.get(start, _TRIANGLE)
-    for n in range(start + 1, dim + 1):
+    density = _TRIANGLE
+    for n in range(2, dim + 1):
         # Threads racing here may each build, but setdefault keeps the first.
-        density = _density_cache.setdefault(n, _next_density(density))
+        density = _density_cache.get(n) or _density_cache.setdefault(n, _next_density(density))
     return density
 
 

@@ -19,14 +19,7 @@ from typing import Callable, NamedTuple
 
 from ._version import __version__
 from .estimation import _KS_BATCH_BYTES, _KS_PAIR_BYTES
-from .experiment import (
-    DEFAULT_BINS,
-    DEFAULT_DIMS,
-    DEFAULT_NUM_PAIRS,
-    DEFAULT_SEED,
-    ExperimentConfig,
-    run_experiment,
-)
+from .experiment import ExperimentConfig, run_experiment
 from .output import FORMATS, print_table, write_bundle
 from .sampling import _WORKER_BYTES, _usable_cpus
 
@@ -64,19 +57,21 @@ class _Setting(NamedTuple):
 
 
 # Every setting, keyed by its flag and config-file name. The flags, the
-# config file, the defaults and the ExperimentConfig all come from here;
-# range rules live only in ExperimentConfig.
+# config file and the ExperimentConfig all come from here; a field's default
+# is ExperimentConfig's own, and range rules live only in ExperimentConfig.
+_DEFAULTS = ExperimentConfig()
 _SETTINGS = {
-    "dims": _Setting(_parse_dims, DEFAULT_DIMS, "dims", "comma-separated dimensions "
-                     f"(default {','.join(map(str, DEFAULT_DIMS))})"),
-    "pairs": _Setting(int, DEFAULT_NUM_PAIRS, "num_pairs",
-                      f"point pairs sampled per dimension (default {DEFAULT_NUM_PAIRS})"),
-    "seed": _Setting(int, DEFAULT_SEED, "seed", f"root seed (default {DEFAULT_SEED})"),
-    "bins": _Setting(int, DEFAULT_BINS, "bins", f"histogram bin count (default {DEFAULT_BINS})"),
+    "dims": _Setting(_parse_dims, _DEFAULTS.dims, "dims", "comma-separated dimensions "
+                     f"(default {','.join(map(str, _DEFAULTS.dims))})"),
+    "pairs": _Setting(int, _DEFAULTS.num_pairs, "num_pairs",
+                      f"point pairs sampled per dimension (default {_DEFAULTS.num_pairs})"),
+    "seed": _Setting(int, _DEFAULTS.seed, "seed", f"root seed (default {_DEFAULTS.seed})"),
+    "bins": _Setting(int, _DEFAULTS.bins, "bins", f"histogram bin count (default {_DEFAULTS.bins})"),
     "out": _Setting(str, ".", None, "output directory (default current directory)"),
     "format": _Setting(_parse_format, "both", None, "report formats to write (default both)"),
-    "gof": _Setting(_parse_bool, False, "emit_gof", "run goodness-of-fit tests per dimension"),
-    "histograms": _Setting(_parse_bool, False, "emit_histograms",
+    "gof": _Setting(_parse_bool, _DEFAULTS.emit_gof, "emit_gof",
+                    "run goodness-of-fit tests per dimension"),
+    "histograms": _Setting(_parse_bool, _DEFAULTS.emit_histograms, "emit_histograms",
                            "bin the samples and emit per-dimension figure data"),
 }
 

@@ -23,24 +23,22 @@ from .estimation import (
 from .sampling import _MAX_DIM, SampleSpec, _boolean, _integer, _sampler, _uint64, derive_seed
 
 __all__ = [
-    "DEFAULT_DIMS", "DEFAULT_NUM_PAIRS", "ExperimentConfig", "DimensionReport",
-    "ExperimentReport", "compare_to_theory", "run_experiment",
+    "ExperimentConfig", "DimensionReport", "ExperimentReport", "compare_to_theory",
+    "run_experiment",
 ]
-
-DEFAULT_DIMS = (1, 2, 3, 5, 10, 20, 50, 100)
-DEFAULT_NUM_PAIRS = 10000
-DEFAULT_SEED = 0
-DEFAULT_BINS = 30
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep recipe: dimensions, pairs per dimension, seed, histogram bins."""
+    """Sweep recipe: dimensions, pairs per dimension, seed, histogram bins.
 
-    dims: tuple[int, ...] = DEFAULT_DIMS
-    num_pairs: int = DEFAULT_NUM_PAIRS
-    seed: int = DEFAULT_SEED
-    bins: int = DEFAULT_BINS
+    The field defaults are the sweep's defaults, the CLI's included.
+    """
+
+    dims: tuple[int, ...] = (1, 2, 3, 5, 10, 20, 50, 100)
+    num_pairs: int = 10000
+    seed: int = 0
+    bins: int = 30
     emit_histograms: bool = False
     emit_gof: bool = False
 

@@ -533,6 +533,12 @@ class TestEvaluationMemory:
         x = np.random.default_rng(33).permutation(np.linspace(-1.0, 31.0, 1_000_000))
         self.assert_peaks_within_bound(x, True)
 
+    def test_peak_of_a_million_points_in_fortran_order(self):
+        # Read in memory order, not copied to row-major first; that order is
+        # not sorted, so the shuffled bounds apply.
+        x = np.asfortranarray(np.linspace(-1.0, 31.0, 1_000_000).reshape(1000, 1000))
+        self.assert_peaks_within_bound(x, True)
+
 
 def _curves(dim):
     """The reference curves at `dim`, each as (name, f, limit at -inf, limit at +inf).

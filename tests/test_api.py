@@ -12,8 +12,6 @@ MODULES = ("metric", "sampling", "analytic", "estimation", "experiment", "output
 
 PUBLIC_NAMES = [
     "CHUNK_PAIRS",
-    "DEFAULT_DIMS",
-    "DEFAULT_NUM_PAIRS",
     "DimensionReport",
     "EXACT_DENSITY_MAX_DIM",
     "EmpiricalCdf",

@@ -28,6 +28,10 @@ class TestArgumentHandling:
         assert settings["format"] == "both"
         assert settings["gof"] is False
         assert settings["histograms"] is False
+        cfg = ExperimentConfig()
+        assert (settings["dims"], settings["pairs"], settings["seed"], settings["bins"],
+                settings["gof"], settings["histograms"]) == (
+            cfg.dims, cfg.num_pairs, cfg.seed, cfg.bins, cfg.emit_gof, cfg.emit_histograms)
 
     def test_dims_parsing(self):
         settings = resolve_settings(build_parser().parse_args(["--dims", "1,5,100"]))
@@ -53,8 +57,21 @@ class TestArgumentHandling:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(["--help"], capsys)
         assert code == 0
-        assert "--dims" in out
         assert "--format {csv,json,both}" in out
+        # Each flag's help names its default as ExperimentConfig() holds it;
+        # the switches are off unless given. argparse wraps the help lines.
+        text = " ".join(out.split())
+        cfg = ExperimentConfig()
+        assert not cfg.emit_gof and not cfg.emit_histograms
+        for entry in (
+            f"--dims DIMS comma-separated dimensions (default {','.join(map(str, cfg.dims))})",
+            f"--pairs PAIRS point pairs sampled per dimension (default {cfg.num_pairs})",
+            f"--seed SEED root seed (default {cfg.seed})",
+            f"--bins BINS histogram bin count (default {cfg.bins})",
+            "--gof run goodness-of-fit tests per dimension",
+            "--histograms bin the samples and emit per-dimension figure data",
+        ):
+            assert entry in text
 
     def test_version(self, capsys):
         code, out, _ = run_cli(["--version"], capsys)

@@ -6,8 +6,6 @@ import pytest
 
 import l1cube
 from l1cube import (
-    DEFAULT_DIMS,
-    DEFAULT_NUM_PAIRS,
     ExperimentConfig,
     MomentSummary,
     SampleSpec,
@@ -30,8 +28,7 @@ class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert cfg.dims == (1, 2, 3, 5, 10, 20, 50, 100)
-        assert cfg.dims == DEFAULT_DIMS
-        assert cfg.num_pairs == DEFAULT_NUM_PAIRS == 10000
+        assert cfg.num_pairs == 10000
         assert cfg.seed == 0
         assert cfg.bins == 30
         assert not cfg.emit_histograms
@@ -243,8 +240,9 @@ class TestRunExperiment:
         # With goodness-of-fit on, the KS statistic (against the exact law
         # where the backend supports it, the normal fit above that) stays
         # under the 1% critical value in at least 7 of the 8 default dims.
-        rep = run_experiment(ExperimentConfig(emit_gof=True))
-        crit = ks_critical_value(DEFAULT_NUM_PAIRS, 0.01)
+        cfg = ExperimentConfig(emit_gof=True)
+        rep = run_experiment(cfg)
+        crit = ks_critical_value(cfg.num_pairs, 0.01)
         passing = 0
         for row in rep.rows:
             stat = row.ks_exact if row.ks_exact is not None else row.ks_normal
