@@ -48,9 +48,8 @@ from .sampling import _integer
 
 __all__ = [
     "EXACT_DENSITY_MAX_DIM", "UnsupportedDimensionError", "theoretical_mean",
-    "theoretical_variance", "theoretical_skewness", "theoretical_excess_kurtosis",
-    "TheoreticalMoments", "PiecewisePolynomial", "exact_density", "moments_of",
-    "NormalApprox", "normal_cdf", "sup_distance_to_normal",
+    "theoretical_variance", "TheoreticalMoments", "PiecewisePolynomial", "exact_density",
+    "moments_of", "NormalApprox", "normal_cdf", "sup_distance_to_normal",
 ]
 
 # Ceiling for the exact density. The step holds at any dimension, and the
@@ -64,7 +63,7 @@ EXACT_DENSITY_MAX_DIM = 30
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # Points per block of every reference curve's evaluation: `_elementwise`, the
 # one block loop, hands a curve at most this many points at a time, so its
-# temporaries stay the same size at any input length and in any input order.
+# temporaries stay the same size at any input length, order and layout.
 _EVAL_BLOCK = 1 << 14
 
 
@@ -76,16 +75,18 @@ def _elementwise(f, x):
     """Apply `f(xv, out)`, which writes its values at the 1-D float64 `xv` into `out`, to x.
 
     The one scalar/array dispatch and the one block loop of every reference
-    curve: the output is allocated once, in x's layout, and `f` is handed at
-    most `_EVAL_BLOCK` points at a time in memory order, so a contiguous x of
-    either order is not copied. A scalar or 0-d x gives a float, any other x
-    an array of its shape.
+    curve: a buffered iterator hands `f` at most `_EVAL_BLOCK` points at a
+    time, gathering a strided block into its buffer, so x is not copied in
+    any layout (a cast to float64 is). A scalar or 0-d x gives a float, any
+    other x an array of its shape.
     """
     xa = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(xa)
-    xv, ov = xa.ravel(order="K"), out.ravel(order="K")
-    for lo in range(0, xv.size, _EVAL_BLOCK):
-        f(xv[lo:lo + _EVAL_BLOCK], ov[lo:lo + _EVAL_BLOCK])
+    it = np.nditer([xa, None], ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"], ["writeonly", "allocate"]], buffersize=_EVAL_BLOCK)
+    with it:
+        for xv, ov in it:
+            f(xv, ov)
+        out = it.operands[1]
     return float(out) if xa.ndim == 0 else out
 
 
@@ -105,18 +106,6 @@ def theoretical_variance(dim: int) -> float:
     return dim / 18.0
 
 
-def theoretical_skewness(dim: int) -> float:
-    """Skewness (2*sqrt(2)/5)/sqrt(dim), from cumulant additivity over i.i.d. summands."""
-    dim = _integer("dim", dim, 1)
-    return (2.0 * math.sqrt(2.0) / 5.0) / math.sqrt(dim)
-
-
-def theoretical_excess_kurtosis(dim: int) -> float:
-    """Excess kurtosis -3/(5*dim), from cumulant additivity over i.i.d. summands."""
-    dim = _integer("dim", dim, 1)
-    return -3.0 / (5.0 * dim)
-
-
 @dataclass(frozen=True)
 class TheoreticalMoments:
     """First four standardized moments of the distance distribution."""
@@ -129,13 +118,14 @@ class TheoreticalMoments:
 
     @classmethod
     def for_dim(cls, dim: int) -> "TheoreticalMoments":
-        return cls(
-            dim=int(dim),
-            mean=theoretical_mean(dim),
-            variance=theoretical_variance(dim),
-            skewness=theoretical_skewness(dim),
-            excess_kurtosis=theoretical_excess_kurtosis(dim),
-        )
+        """The closed forms; the shape moments by cumulant additivity over i.i.d. summands.
+
+        Rounded as `moments_of` rounds them, so up to EXACT_DENSITY_MAX_DIM
+        they equal `moments_of(exact_density(dim))` bit for bit.
+        """
+        dim = _integer("dim", dim, 1)
+        return cls(dim, theoretical_mean(dim), theoretical_variance(dim),
+                   math.sqrt(8 / (25 * dim)), -3 / (5 * dim))
 
 
 # ---------------------------------------------------------------------------

@@ -133,15 +133,15 @@ def summarize(distances) -> MomentSummary:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Binned counts with optional probability-density normalization."""
+    """Binned counts with optional probability-density normalization, in read-only copies."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
     density_mode: bool
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        edges = np.array(self.bin_edges, dtype=np.float64)
+        counts = np.array(self.counts, dtype=np.int64)
         if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
                 or np.any(np.diff(edges) <= 0)):
             raise ValueError("bin_edges must be finite and strictly increasing with >= 2 entries")
@@ -240,7 +240,10 @@ def _is_sorted(x: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCdf:
-    """A sorted sample, the step CDF F(x) = #(values <= x) / N that `ks_statistic` takes."""
+    """A sorted sample, the step CDF F(x) = #(values <= x) / N that `ks_statistic` takes.
+
+    A float64 1-D input (the sweep's row, sorted in place) is made read-only, not copied.
+    """
 
     sorted_values: np.ndarray
 

@@ -30,9 +30,7 @@ from l1cube import (
     normal_cdf,
     run_experiment,
     sup_distance_to_normal,
-    theoretical_excess_kurtosis,
     theoretical_mean,
-    theoretical_skewness,
     theoretical_variance,
 )
 from l1cube import analytic
@@ -49,15 +47,16 @@ class TestClosedForms:
         assert theoretical_variance(dim) == dim / 18.0
 
     def test_skewness_and_kurtosis_values(self):
-        assert theoretical_skewness(1) == pytest.approx(2 * math.sqrt(2) / 5, abs=1e-15)
-        assert theoretical_skewness(4) == pytest.approx(math.sqrt(2) / 5, abs=1e-15)
-        assert theoretical_excess_kurtosis(1) == -0.6
-        assert theoretical_excess_kurtosis(10) == -0.06
+        one, four, ten = (TheoreticalMoments.for_dim(d) for d in (1, 4, 10))
+        assert one.skewness == pytest.approx(2 * math.sqrt(2) / 5, abs=1e-15)
+        assert four.skewness == pytest.approx(math.sqrt(2) / 5, abs=1e-15)
+        assert one.excess_kurtosis == -0.6
+        assert ten.excess_kurtosis == -0.06
 
     def test_skewness_decreasing_kurtosis_increasing(self):
-        dims = [1, 2, 5, 10, 50, 100]
-        skews = [theoretical_skewness(d) for d in dims]
-        kurts = [theoretical_excess_kurtosis(d) for d in dims]
+        moments = [TheoreticalMoments.for_dim(d) for d in (1, 2, 5, 10, 50, 100)]
+        skews = [m.skewness for m in moments]
+        kurts = [m.excess_kurtosis for m in moments]
         assert all(a > b > 0 for a, b in zip(skews, skews[1:]))
         assert all(a < b < 0 for a, b in zip(kurts, kurts[1:]))
 
@@ -67,24 +66,22 @@ class TestClosedForms:
             message = f"dim must be >= 1, got {bad}"
         else:
             message = f"dim must be an integer, got {bad!r}"
-        for fn in (
-            theoretical_mean, theoretical_variance, theoretical_skewness,
-            theoretical_excess_kurtosis, exact_density,
-        ):
+        for fn in (theoretical_mean, theoretical_variance, TheoreticalMoments.for_dim, exact_density):
             with pytest.raises(ValueError) as info:
                 fn(bad)
             assert str(info.value) == message, fn.__name__
 
     def test_accepts_numpy_integers(self):
         assert theoretical_mean(np.int64(6)) == 2.0
+        assert type(TheoreticalMoments.for_dim(np.int64(6)).dim) is int
 
     def test_moments_bundle(self):
         m = TheoreticalMoments.for_dim(9)
         assert m.dim == 9
         assert m.mean == 3.0
         assert m.variance == 0.5
-        assert m.skewness == theoretical_skewness(9)
-        assert m.excess_kurtosis == theoretical_excess_kurtosis(9)
+        assert m.skewness == math.sqrt(8 / 225)
+        assert m.excess_kurtosis == -1 / 15
 
 
 class TestSingleDimDensity:
@@ -175,16 +172,10 @@ class TestExactDensity:
         assert d.moment(3, center=mean) == Fraction(dim, 135)
         assert d.moment(4, center=mean) == Fraction(dim * dim, 108) - Fraction(dim, 540)
 
-    @pytest.mark.parametrize("dim", MOMENT_DIMS)
+    @pytest.mark.parametrize("dim", range(1, EXACT_DENSITY_MAX_DIM + 1))
     def test_moments_of_matches_closed_forms(self, dim):
-        m = moments_of(exact_density(dim))
-        assert m.dim == dim
-        assert m.mean == pytest.approx(dim / 3, abs=1e-9)
-        assert m.variance == pytest.approx(dim / 18, abs=1e-9)
-        assert m.skewness == pytest.approx(theoretical_skewness(dim), abs=1e-8)
-        assert m.excess_kurtosis == pytest.approx(
-            theoretical_excess_kurtosis(dim), abs=1e-8
-        )
+        # Every field, the dim included, bit for bit.
+        assert moments_of(exact_density(dim)) == TheoreticalMoments.for_dim(dim)
 
     @pytest.mark.parametrize("dim", range(1, EXACT_DENSITY_MAX_DIM + 1))
     def test_moments_of_rounds_once(self, dim):
@@ -192,7 +183,7 @@ class TestExactDensity:
         # 8/(25n); one rounding of each gives the closed form's bits, and the
         # skewness is the square root of the second.
         m = moments_of(exact_density(dim))
-        assert m.excess_kurtosis == theoretical_excess_kurtosis(dim)
+        assert m.excess_kurtosis == -3 / (5 * dim)
         assert m.skewness == math.sqrt(8 / (25 * dim))
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 30])
@@ -495,7 +486,7 @@ class TestOneHornerPass:
 
 
 class TestEvaluationMemory:
-    """Every reference curve holds its output and one block's temporaries, in any order."""
+    """Every reference curve holds its output and one block's temporaries, in any order and layout."""
 
     # Arrays of one block's doubles that each curve holds at its peak beside
     # its output, for sorted and for shuffled input:
@@ -538,6 +529,16 @@ class TestEvaluationMemory:
         # not sorted, so the shuffled bounds apply.
         x = np.asfortranarray(np.linspace(-1.0, 31.0, 1_000_000).reshape(1000, 1000))
         self.assert_peaks_within_bound(x, True)
+
+    def test_peak_of_a_million_reversed_points(self):
+        # A view with a negative stride is read a block at a time, not copied;
+        # its blocks descend, so the shuffled bounds apply.
+        self.assert_peaks_within_bound(np.linspace(-1.0, 31.0, 1_000_000)[::-1], True)
+
+    def test_peak_of_a_million_strided_points(self):
+        # Every other point of a sorted array: each block is gathered into the
+        # iterator's buffer, not the whole input into a copy.
+        self.assert_peaks_within_bound(np.linspace(-1.0, 31.0, 2_000_000)[::2], False)
 
 
 def _curves(dim):

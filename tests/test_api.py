@@ -42,9 +42,7 @@ PUBLIC_NAMES = [
     "sample_distances",
     "summarize",
     "sup_distance_to_normal",
-    "theoretical_excess_kurtosis",
     "theoretical_mean",
-    "theoretical_skewness",
     "theoretical_variance",
     "write_bundle",
 ]

@@ -356,6 +356,14 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.counts[0] = 5
 
+    def test_copies_the_callers_arrays(self):
+        edges, counts = np.array([0.0, 0.5, 1.0]), np.array([1, 2])
+        h = Histogram(edges, counts, True)
+        assert edges.flags.writeable and counts.flags.writeable
+        assert not h.bin_edges.flags.writeable and not h.counts.flags.writeable
+        edges[0], counts[0] = -1.0, 7
+        assert h.bin_edges.tolist() == [0.0, 0.5, 1.0] and h.counts.tolist() == [1, 2]
+
     @pytest.mark.parametrize("mode", ["no", None, 1, 0.0], ids=["str", "None", "int", "float"])
     def test_rejects_non_bool_density_mode(self, mode):
         # "no" used to give density heights and a JSON "density_mode": "no";
@@ -390,6 +398,11 @@ class TestEmpiricalCdf:
         e = EmpiricalCdf.from_values([0.3, 0.1, 0.2])
         assert np.array_equal(e.sorted_values, [0.1, 0.2, 0.3])
         assert e.sorted_values.size == 3
+
+    def test_holds_a_float64_input_read_only_without_a_copy(self):
+        values = np.array([0.1, 0.2, 0.3])
+        assert EmpiricalCdf(values).sorted_values is values
+        assert not values.flags.writeable
 
     def test_rejects_unsorted_constructor_input(self):
         with pytest.raises(ValueError, match="sorted"):
