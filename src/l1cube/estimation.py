@@ -264,18 +264,18 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
 
     The statistic is sup_x |F_N(x) - F(x)|, taken at both one-sided limits
     of every sample point: max over i of max(i/N - F(x_(i)), F(x_(i)) -
-    (i-1)/N). `reference_cdf` must be a nondecreasing CDF, applied
-    elementwise, that returns a number at every sample point (NaN raises
-    ValueError).
+    (i-1)/N). `reference_cdf` must be a nondecreasing CDF that takes a 1-D
+    float64 array and returns one number per point (NaN raises ValueError).
+    A callable that takes scalars only fails at its first call.
 
     F is called on the first point of every block of sorted points and on
     the last, then on the blocks that can hold the supremum, 8,192 points
     a call. A block's first point bounds F over it, and blocks whose bound
     falls short of a value already attained are skipped, unless F steps
-    back at the block starts. A callable that cannot take the block starts
-    as one array (scalars only, or F at every sorted point whatever its
-    argument) is called once for every point, and no block is skipped. The
-    result is the same double as when every point is evaluated at once.
+    back at the block starts. A callable that returns F at every sorted
+    point whatever its argument is read at the points it needs, and no
+    block is skipped. The result is the same double as when every point is
+    evaluated at once.
     """
     xs = sample.sorted_values
     n = xs.size
@@ -292,7 +292,7 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
     else:
         full = _cdf_at(xs, reference_cdf)
         if full is None:
-            full = np.array([float(reference_cdf(v)) for v in xs])
+            raise ValueError("reference_cdf must return one value per point of its array argument")
         f, ref_at = full[coarse], full.take
     low = _ks_terms_max(coarse, f, n)
     starts = coarse[:-1]
@@ -310,11 +310,8 @@ def ks_statistic(sample: EmpiricalCdf, reference_cdf: Callable) -> float:
 
 
 def _cdf_at(points: np.ndarray, reference_cdf: Callable) -> np.ndarray | None:
-    """F at `points` as one array of their shape, or None if F cannot take them so."""
-    try:
-        f = np.asarray(reference_cdf(points), dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
+    """F at `points` as one array of their shape, or None if F returns another shape."""
+    f = np.asarray(reference_cdf(points), dtype=np.float64)
     return f if f.shape == points.shape else None
 
 

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
 from l1cube import (
@@ -484,15 +483,22 @@ class TestKsStatistic:
         assert mine == pytest.approx(ref, abs=1e-14)
 
     def test_scalar_only_reference_callable(self):
-        # math.erf cannot take arrays; the fallback path must handle that.
+        # math.erf cannot take arrays, so the first call raises its own error
+        # and F is not called again.
         e = EmpiricalCdf.from_values(np.linspace(-2, 2, 41))
-        vector = ks_statistic(
-            e, lambda x: 0.5 * (1.0 + scipy.special.erf(np.asarray(x) / math.sqrt(2)))
-        )
-        scalar = ks_statistic(
-            e, lambda x: 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2)))
-        )
-        assert scalar == pytest.approx(vector, abs=1e-15)
+        reference, calls = _counted(lambda x: 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2))))
+        with pytest.raises(TypeError):
+            ks_statistic(e, reference)
+        assert calls == [4]  # the coarse points 0, 16, 32 and 40
+
+    @pytest.mark.parametrize("n", [1, 41, 5000])
+    def test_scalar_for_an_array_raises(self, n):
+        # F answers the coarse points, then every point, with one number.
+        e = EmpiricalCdf.from_values(np.linspace(0, 1, n))
+        reference, calls = _counted(lambda x: 0.5)
+        with pytest.raises(ValueError, match="reference_cdf"):
+            ks_statistic(e, reference)
+        assert calls[-1] == n and len(calls) == 2
 
     @pytest.mark.parametrize("at", [0, 16, 4999])
     def test_nan_from_the_reference_raises(self, at):
@@ -507,11 +513,14 @@ class TestKsStatistic:
             ks_statistic(EmpiricalCdf(x), reference)
 
     def test_nan_from_a_scalar_only_reference_raises(self):
-        # Such a callable is evaluated at every point, and every point is read.
+        # Such a callable fails on the coarse points, before any NaN is seen:
+        # `v == bad` is an array, which has no truth value.
         x = np.sort(np.random.default_rng(5).random(5000))
         bad = x[7]
-        with pytest.raises(ValueError, match="reference_cdf"):
-            ks_statistic(EmpiricalCdf(x), lambda v: math.nan if v == bad else float(v))
+        reference, calls = _counted(lambda v: math.nan if v == bad else float(v))
+        with pytest.raises(ValueError, match="truth value"):
+            ks_statistic(EmpiricalCdf(x), reference)
+        assert len(calls) == 1
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -525,6 +534,17 @@ class TestKsStatistic:
         wrong = NormalApprox.for_dim(2)
         d = ks_statistic(EmpiricalCdf.from_values(x), lambda v: normal_cdf(wrong, v))
         assert d > 10 * ks_critical_value(2000, 0.01)
+
+
+def _counted(reference):
+    """`reference` and a list that gets the size of each argument it is called with."""
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return reference(x)
+
+    return counted, calls
 
 
 def _reference_cdfs(dim: int) -> tuple:
@@ -554,8 +574,7 @@ class TestKsBlocks:
     def assert_matches(cls, sample, reference):
         # F is called on the block starts and the last point (3,908 points at
         # 10^6, within the default batch), then on batches of at most
-        # _KS_BATCH points, which a test may shrink. A call F cannot take
-        # raises before it is recorded.
+        # _KS_BATCH points, which a test may shrink.
         sizes = []
 
         def recorded(x):
@@ -754,10 +773,13 @@ class TestKsBlocks:
         assert ks_statistic(e, lambda _: ref) == full_ks(e, exact_density(2).cdf)
 
     def test_scalar_only_reference_past_the_threshold(self):
-        # Past 2^17 points, a callable that takes scalars only still gets
-        # every point, one at a time.
+        # Past 2^17 points, a callable that takes scalars only still fails at
+        # its first call, on the block starts.
         e = EmpiricalCdf.from_values(np.linspace(-2, 2, self.TOP + 1))
-        self.assert_matches(e, lambda x: 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2))))
+        reference, calls = _counted(lambda x: 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2))))
+        with pytest.raises(TypeError):
+            ks_statistic(e, reference)
+        assert len(calls) == 1
 
 
 class TestKsMemory:
