@@ -174,11 +174,17 @@ class TestExactDensity:
 
     @pytest.mark.parametrize("dim", range(1, EXACT_DENSITY_MAX_DIM + 1))
     def test_moments_of_matches_closed_forms(self, dim):
-        # Every field, the dim included, bit for bit. mu4 / mu2^2 - 3 is
-        # exactly -3/(5n), and mu3^2 / mu2^3 exactly 8/(25n); one rounding of
-        # each gives the closed form's bits, and the skewness is the square
-        # root of the second.
+        # Every field, the dim included, bit for bit.
         assert moments_of(exact_density(dim)) == TheoreticalMoments.for_dim(dim)
+
+    @pytest.mark.parametrize("dim", range(1, EXACT_DENSITY_MAX_DIM + 1))
+    def test_moments_of_rounds_once(self, dim):
+        # mu4 / mu2^2 - 3 is exactly -3/(5n), and mu3^2 / mu2^3 exactly
+        # 8/(25n); one rounding of each gives the closed form's bits, and the
+        # skewness is the square root of the second.
+        m = moments_of(exact_density(dim))
+        assert m.excess_kurtosis == -3 / (5 * dim)
+        assert m.skewness == math.sqrt(8 / (25 * dim))
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 30])
     def test_continuous_at_breakpoints(self, dim):
