@@ -141,17 +141,24 @@ class Histogram:
 
     def __post_init__(self) -> None:
         edges = np.array(self.bin_edges, dtype=np.float64)
-        counts = np.array(self.counts, dtype=np.int64)
+        counts = np.array(self.counts)
+        density_mode = _boolean("density_mode", self.density_mode)
         if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
                 or np.any(np.diff(edges) <= 0)):
             raise ValueError("bin_edges must be finite and strictly increasing with >= 2 entries")
         if counts.shape != (edges.size - 1,):
             raise ValueError("counts must have one entry per bin")
+        if counts.dtype.kind in "iu":
+            counts = counts.astype(np.int64, copy=False)
+        if counts.dtype != np.int64 or np.any(counts < 0):
+            raise ValueError(f"counts must be non-negative integers, got {self.counts!r}")
+        if density_mode and not counts.any():
+            raise ValueError("counts must not all be 0 in density mode")
         edges.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "density_mode", _boolean("density_mode", self.density_mode))
+        object.__setattr__(self, "density_mode", density_mode)
 
     @property
     def widths(self) -> np.ndarray:

@@ -9,21 +9,23 @@ CPU the process may use (so `taskset` limits them), and the bytes do not
 depend on how many that is.
 
 The workers are the calling thread and helper threads that live for one
-`run_experiment`, or one `sample_distances`, and serve each of its rows.
-For a row, each worker takes chunks from one shared queue and keeps one
-Philox, which it re-keys to (seed, c) at counter 0 for chunk c. A
-counter-based stream is a function of its key and counter alone, so the
-re-keyed generator yields exactly what a fresh `derive_stream(seed, c)`
-would. The calling thread allocates every worker's draw and difference
-buffers for the row and hands them over, because a helper thread allocates
-in its own malloc arena, whose freed memory the calling thread's later
-temporaries cannot reuse. What helpers still allocate is numpy's ufunc
-buffers for the strided `P - Q`, about 128 KiB per call per worker. A
-worker reuses its buffers from chunk to chunk within one row only, and their
-size is fixed whatever the dim: above `_BLOCK_DRAWS / 2` coordinates each
-pair is drawn in blocks, from two Philox set by their counter to where the
-pair's P and Q start in the chunk's stream, and `span_sum` carries its total
-from block to block.
+`run_experiment`, or one `sample_distances`, and serve each of its rows. A
+helper starts the first time a row has a chunk for it, takes that row's task
+and every later row's from one task queue, and is joined when the sweep or
+the call ends. For a row, each worker takes chunks from one shared chunk
+queue and keeps one Philox, which it re-keys to (seed, c) at counter 0 for
+chunk c. A counter-based stream is a function of its key and counter alone,
+so the re-keyed generator yields exactly what a fresh
+`derive_stream(seed, c)` would. The calling thread allocates every worker's
+draw and difference buffers for the row and hands them over, because a
+helper thread allocates in its own malloc arena, whose freed memory the
+calling thread's later temporaries cannot reuse. What helpers still allocate is numpy's ufunc
+buffers for the strided `P - Q`, about 128 KiB per call per worker. A worker
+reuses its buffers from chunk to chunk within one row only, and their size
+is fixed whatever the dim: above `_BLOCK_DRAWS / 2` coordinates each pair is
+drawn in blocks, from two Philox set by their counter to where the pair's P
+and Q start in the chunk's stream, and `span_sum` carries its total from
+block to block.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from queue import SimpleQueue
 
 import numpy as np
 # numpy loads numpy.random on first use; importing it here keeps that cost
@@ -167,10 +170,44 @@ def _usable_cpus() -> int:
 
 @contextmanager
 def _sampler(workers: int | None = None):
-    """Yield `sample(spec)`, drawing on this thread and `workers - 1` helpers that end with it."""
+    """Yield `sample(spec)`, drawing on this thread and up to `workers - 1` helpers.
+
+    Helper k starts the first time a row has a chunk for it, and every helper
+    is joined when the block exits, whether it ends or fails.
+    """
     workers = _usable_cpus() if workers is None else _integer("workers", workers, 1)
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        yield lambda spec: _sample(spec, pool, workers)
+    tasks, helpers = SimpleQueue(), []
+
+    def hand_over(row_tasks: list) -> None:
+        """Queue a row's helper tasks, first starting each helper it is the first to need."""
+        for _ in range(len(helpers), len(row_tasks)):
+            helper = threading.Thread(target=_serve, args=(tasks,), daemon=True)
+            helper.start()
+            helpers.append(helper)
+        for task in row_tasks:
+            tasks.put(task)
+
+    try:
+        yield lambda spec: _sample(spec, hand_over, workers)
+    finally:
+        for _ in helpers:
+            tasks.put(None)
+        for helper in helpers:
+            helper.join()
+
+
+def _serve(tasks: SimpleQueue) -> None:
+    """Run each (task, report) from `tasks` until None, putting its error, or None, on `report`."""
+    for task, report in iter(tasks.get, None):
+        error = None
+        try:
+            task()
+        except BaseException as exc:
+            error = exc
+        # Dropped before the report, so no helper holds a row's sample once
+        # the row has returned it.
+        del task
+        report.put(error)
 
 
 def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray:
@@ -186,8 +223,8 @@ def sample_distances(spec: SampleSpec, workers: int | None = None) -> np.ndarray
         return sample(spec)
 
 
-def _sample(spec: SampleSpec, pool: ThreadPoolExecutor | None, workers: int) -> np.ndarray:
-    """`spec`'s distances from this thread and at most `workers - 1` tasks on `pool`."""
+def _sample(spec: SampleSpec, hand_over, workers: int) -> np.ndarray:
+    """`spec`'s distances from this thread and at most `workers - 1` tasks given to `hand_over`."""
     dim = spec.dim
     out = np.empty(spec.num_pairs)
     # Coordinates per block, whole SUM_SPANs so blocks keep span_sum's spans.
@@ -250,9 +287,11 @@ def _sample(spec: SampleSpec, pool: ThreadPoolExecutor | None, workers: int) -> 
         rows = min(CHUNK_PAIRS, step)
         shapes = (rows, 2, dim), (rows, dim)
     buffers = [[np.empty(shape) for shape in shapes] for _ in range(min(workers, n_chunks))]
-    # Should this thread fail, the pool's shutdown waits for the helpers.
-    helpers = [pool.submit(run_chunks, *pair) for pair in buffers[1:]]
+    # Should this thread fail, `_sampler`'s exit waits for the helpers.
+    report = SimpleQueue()
+    hand_over([(partial(run_chunks, *pair), report) for pair in buffers[1:]])
     run_chunks(*buffers[0])
-    for task in helpers:
-        task.result()
+    for _ in buffers[1:]:
+        if (error := report.get()) is not None:
+            raise error
     return out

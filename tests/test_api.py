@@ -79,17 +79,20 @@ def test_pyproject_reads_the_package_version():
 
 def test_runs_without_importing_scipy(tmp_path):
     # scipy is a test dependency only: importing the package and a full
-    # --gof --histograms run (exact and normal-only rows) load no scipy module.
+    # --gof --histograms run (exact and normal-only rows, three chunks each,
+    # so helper threads sample) load no scipy module. Nor do they load
+    # concurrent.futures or logging, which the sampler's threads do not need.
     # numpy.random, which scipy used to pull in, still loads with the package
     # rather than inside the first run.
     code = (
         "import sys, l1cube, l1cube.cli\n"
         "assert 'numpy.random' in sys.modules\n"
-        f"assert l1cube.cli.main(['--dims', '1,2,40', '--pairs', '300', '--gof', "
+        f"assert l1cube.cli.main(['--dims', '1,2,40', '--pairs', '3000', '--gof', "
         f"'--histograms', '--out', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
     assert (tmp_path / "report.json").exists()

@@ -342,6 +342,21 @@ class TestHistogram:
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             Histogram(edges, counts, True)
 
+    @pytest.mark.parametrize(
+        "counts, density_mode, message",
+        [([2.7], False, "be non-negative integers, got \\[2.7\\]"),
+         (np.array([2.0]), False, "be non-negative integers"),
+         ([True], False, "be non-negative integers"),
+         ([-3], True, "be non-negative integers, got \\[-3\\]"),
+         ([0], True, "not all be 0 in density mode")],
+        ids=["fraction", "whole-float", "bool", "negative", "empty-density"],
+    )
+    def test_rejects_counts_no_histogram_can_have(self, counts, density_mode, message):
+        # 2.7 used to be stored as 2, -3 gave a density height of 1, and an
+        # all-zero density histogram NaN heights.
+        with pytest.raises(ValueError, match="counts must " + message):
+            Histogram([0.0, 1.0], counts, density_mode)
+
     def test_equality(self):
         a = build_histogram([0.1, 0.6], bins=2)
         b = build_histogram([0.1, 0.6], bins=2)

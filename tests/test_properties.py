@@ -1,4 +1,5 @@
-"""Property tests: KS, the grid and the histogram against their oracles on generated inputs.
+"""Property tests: KS, the grid and the histogram against their oracles on generated
+inputs, and the sampler's bytes at any worker count.
 
 Examples are derived from each test's name (`derandomize=True`), so every
 run checks the same inputs. No example database is kept, and what else
@@ -21,13 +22,16 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from l1cube import (
+    CHUNK_PAIRS,
     EXACT_DENSITY_MAX_DIM,
     EmpiricalCdf,
     NormalApprox,
+    SampleSpec,
     build_histogram,
     estimation,
     exact_density,
     ks_statistic,
+    sample_distances,
 )
 from ks_reference import full_ks
 
@@ -100,3 +104,20 @@ def test_build_histogram_equals_numpy(values, bins):
     h = build_histogram(x, bins=bins)
     assert h.bin_edges.tobytes() == edges.tobytes()
     assert np.array_equal(h.counts, counts)
+
+
+# Pair counts from 1 to 3 * CHUNK_PAIRS + 5, two in three of them past one
+# chunk, where helpers take part.
+pair_counts = st.builds(lambda chunks, rest: chunks * CHUNK_PAIRS + rest,
+                        st.integers(0, 2), st.integers(1, CHUNK_PAIRS + 5))
+
+
+@SETTINGS
+@given(st.integers(1, 64), pair_counts, st.integers(0, 2**64 - 1))
+@example(64, 3 * CHUNK_PAIRS + 5, 0)
+@example(1, CHUNK_PAIRS + 1, 2**64 - 1)
+def test_sample_distances_same_at_any_worker_count(dim, num_pairs, seed):
+    spec = SampleSpec(dim=dim, num_pairs=num_pairs, seed=seed)
+    base = sample_distances(spec, workers=1).tobytes()
+    for workers in (2, 3, 4):
+        assert sample_distances(spec, workers=workers).tobytes() == base

@@ -2,7 +2,8 @@ import os
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from l1cube import (
     summarize,
 )
 from l1cube.metric import SUM_SPAN, span_sum
-from l1cube.sampling import _WORKER_BYTES, _seek
+from l1cube.sampling import _WORKER_BYTES, _sampler, _seek, _serve
 from pairwise_reference import span_sum as reference_span_sum
 import sampler_reference
 
@@ -175,27 +176,32 @@ class TestStreams:
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Record every thread pool the sampler builds: its size, the helper tasks
-    submitted to it and the threads that ran them."""
-    built = []
+def helpers(monkeypatch):
+    """Record, for each sampler that starts a helper thread, the helpers it
+    started, the row tasks handed to them and the threads that ran those tasks."""
+    samplers, lock = [], threading.Lock()
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            super().__init__(max_workers, *args, **kwargs)
-            self.size, self.tasks, self.threads = max_workers, 0, set()
-            built.append(self)
+    def recording_serve(tasks):
+        # A sampler's helpers share its task queue, and may start at once.
+        with lock:
+            sampler = next((r for r in samplers if r.queue is tasks), None)
+            if sampler is None:
+                sampler = SimpleNamespace(queue=tasks, helpers=0, tasks=0, threads=set())
+                samplers.append(sampler)
+            sampler.helpers += 1
 
-        def submit(self, fn, /, *args, **kwargs):
-            def task():
-                self.threads.add(threading.get_ident())
-                return fn(*args, **kwargs)
+        def get():
+            task = tasks.get()
+            if task is not None:
+                with lock:
+                    sampler.tasks += 1
+                    sampler.threads.add(threading.current_thread())
+            return task
 
-            self.tasks += 1
-            return super().submit(task)
+        _serve(SimpleNamespace(get=get))
 
-    monkeypatch.setattr("l1cube.sampling.ThreadPoolExecutor", RecordingPool)
-    return built
+    monkeypatch.setattr("l1cube.sampling._serve", recording_serve)
+    return samplers
 
 
 class TestSampleDistances:
@@ -244,50 +250,50 @@ class TestSampleDistances:
             assert wide_base.tobytes() == sample_distances(wide, workers=workers).tobytes()
 
     @pytest.mark.parametrize("workers", [0, -1, -8])
-    def test_rejects_worker_count_below_one(self, workers, pools):
+    def test_rejects_worker_count_below_one(self, workers, helpers):
         spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
         with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}$"):
             sample_distances(spec, workers=workers)
-        assert pools == []
+        assert helpers == []
 
     @pytest.mark.parametrize(
         "workers",
         [2.5, True, np.True_, "2", 1.0],
         ids=["float", "bool", "numpy-bool", "str", "whole-float"],
     )
-    def test_rejects_non_integer_worker_count(self, workers, pools):
+    def test_rejects_non_integer_worker_count(self, workers, helpers):
         spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
         with pytest.raises(ValueError, match="workers must be an integer, got "):
             sample_distances(spec, workers=workers)
-        assert pools == []
+        assert helpers == []
 
-    def test_pool_capped_at_chunk_count(self, pools):
-        # The calling thread samples too, so a call submits one helper task
-        # fewer than the workers it uses, and never more than the chunks less one.
+    def test_pool_capped_at_chunk_count(self, helpers):
+        # The calling thread samples too, so a call starts one helper fewer
+        # than the workers it uses, and never more than the chunks less one.
         one_chunk = SampleSpec(dim=3, num_pairs=CHUNK_PAIRS, seed=13)
         base = sample_distances(one_chunk, workers=1)
         assert np.array_equal(sample_distances(one_chunk, workers=8), base)
-        assert [p.tasks for p in pools] == [0]  # a single chunk starts no thread
+        assert helpers == []  # a single chunk starts no thread
         three_chunks = SampleSpec(dim=3, num_pairs=2 * CHUNK_PAIRS + 1, seed=13)
         base = sample_distances(three_chunks, workers=1)
         assert np.array_equal(sample_distances(three_chunks, workers=8), base)
-        assert [p.tasks for p in pools] == [0, 2]
-        assert len(pools[1].threads) <= 2
+        assert [(h.helpers, h.tasks) for h in helpers] == [(2, 2)]
+        assert 1 <= len(helpers[0].threads) <= 2
 
-    def test_default_worker_count_is_usable_cpus(self, pools, monkeypatch):
+    def test_default_worker_count_is_usable_cpus(self, helpers, monkeypatch):
         spec = SampleSpec(dim=3, num_pairs=5000, seed=13)
         base = sample_distances(spec, workers=1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert np.array_equal(sample_distances(spec), base)
-        assert pools == []  # one worker is the calling thread alone
+        assert helpers == []  # one worker is the calling thread alone
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert np.array_equal(sample_distances(spec), base)
-        assert [(p.size, p.tasks) for p in pools] == [(1, 1)]
+        assert [(h.helpers, h.tasks) for h in helpers] == [(1, 1)]
         # Without an affinity call the CPU count stands in.
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert np.array_equal(sample_distances(spec), base)
-        assert [(p.size, p.tasks) for p in pools] == [(1, 1), (2, 2)]
+        assert [(h.helpers, h.tasks) for h in helpers] == [(1, 1), (2, 2)]
 
     @pytest.mark.parametrize(
         "dim, num_pairs",
@@ -392,18 +398,29 @@ class TestSampleDistances:
 class TestSharedThreads:
     """One set of helper threads serves every row of a sweep and ends with it."""
 
-    def test_one_pool_serves_every_row(self, pools, monkeypatch):
+    def test_one_pool_serves_every_row(self, helpers, monkeypatch):
         # Three usable CPUs: the calling thread and two helpers. Every row
-        # has three chunks and so submits two helper tasks to the one pool.
+        # has three chunks and so hands two tasks to the same two helpers.
         config = ExperimentConfig(dims=tuple(range(1, 9)), num_pairs=3 * CHUNK_PAIRS,
                                   seed=6, emit_gof=True, emit_histograms=True)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         base = run_experiment(config)
-        assert pools == []
+        assert helpers == []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert run_experiment(config) == base
-        assert [(p.size, p.tasks) for p in pools] == [(2, 16)]
-        assert 1 <= len(pools[0].threads) <= 2
+        assert [(h.helpers, h.tasks) for h in helpers] == [(2, 16)]
+        assert 1 <= len(helpers[0].threads) <= 2
+
+    def test_a_returned_row_is_held_by_no_helper(self):
+        # A helper drops each row's task before it reports the row done, so
+        # no finished row's sample is kept while the next row is sampled.
+        held = []
+        with _sampler(3) as sample:
+            for seed in range(3):
+                row = sample(SampleSpec(dim=2, num_pairs=3 * CHUNK_PAIRS, seed=seed))
+                held.append(weakref.ref(row))
+                del row
+                assert [ref() for ref in held] == [None] * len(held)
 
     def test_threads_end_with_the_call(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -473,7 +490,7 @@ class TestSamplerMemory:
     """A worker's buffers are a fixed size at every dim."""
 
     @pytest.mark.parametrize("dim, num_pairs", [(100, 2**17), (2**17 + 3, CHUNK_PAIRS + 1)])
-    def test_calling_thread_allocates_every_buffer(self, dim, num_pairs, pools, monkeypatch):
+    def test_calling_thread_allocates_every_buffer(self, dim, num_pairs, helpers, monkeypatch):
         # A helper thread allocates in its own malloc arena, whose freed
         # memory the calling thread's later temporaries cannot reuse. So the
         # output and both workers' draw and difference buffers come from the
@@ -491,8 +508,8 @@ class TestSamplerMemory:
 
         monkeypatch.setattr("l1cube.sampling.np.empty", recording_empty)
         sample_distances(SampleSpec(dim=dim, num_pairs=num_pairs, seed=3), workers=2)
-        (pool,) = pools
-        assert pool.threads and threading.get_ident() not in pool.threads
+        (sampler,) = helpers
+        assert sampler.threads and threading.current_thread() not in sampler.threads
         assert made == [threading.get_ident()] * 5
 
     @pytest.mark.parametrize("dim, num_pairs", [(100, 2**17), (2**17 + 3, 2)])
